@@ -340,10 +340,10 @@ def _presentation_echo(p: ZeroLocusPresentation) -> dict:
 
 
 def _execute(kind: str, problem: ProblemFile, p: ZeroLocusPresentation,
-             report: Report, threads: int) -> None:
+             report: Report) -> None:
     cutoff = problem.cutoff if problem.cutoff is not None else default_cutoff(p)
     if kind == "homology":
-        table = homology_dimensions(koszul_complex(p), cutoff, threads=threads)
+        table = homology_dimensions(koszul_complex(p), cutoff)
         report.status = "INFO"
         report.tables["koszul"] = table
     elif kind == "gclass":
@@ -354,7 +354,7 @@ def _execute(kind: str, problem: ProblemFile, p: ZeroLocusPresentation,
         report.kclass = str(virtual_class(p))
         report.notes.append("direct and homology routes agree")
     elif kind == "verify-excess":
-        result = verify_excess(p, cutoff, threads=threads)
+        result = verify_excess(p, cutoff)
         report.status = "PASS" if result.passed else "FAIL"
         report.tables["restricted_pushforward"] = result.table_restricted
         report.tables["euler_twisted"] = result.table_euler
@@ -369,7 +369,7 @@ def _execute(kind: str, problem: ProblemFile, p: ZeroLocusPresentation,
         if not verdict.passed:
             report.witness = {"lhs": str(verdict.lhs), "rhs": str(verdict.rhs)}
     elif kind == "verify-sym-ga":
-        cmp = verify_sym_ga(p, cutoff, n_max=problem.sym_max, threads=threads)
+        cmp = verify_sym_ga(p, cutoff, n_max=problem.sym_max)
         report.status = "PASS" if cmp.passed else "FAIL"
         report.tables["sym_invariants"] = cmp.table_a
         report.tables["koszul"] = cmp.table_b
@@ -400,7 +400,7 @@ def _execute(kind: str, problem: ProblemFile, p: ZeroLocusPresentation,
 
 
 def run(path: str, cutoff: Optional[int] = None,
-        then: Optional[str] = None, threads: int = 1) -> tuple[int, Report]:
+        then: Optional[str] = None) -> tuple[int, Report]:
     """Execute a problem file; returns (exit code, report)."""
     started = time.perf_counter()
     with open(path, "rb") as handle:
@@ -425,11 +425,11 @@ def run(path: str, cutoff: Optional[int] = None,
         report = Report(task=task_name, status="INFO", input_sha256=digest)
         report.presentation = _presentation_echo(p)
         if then is not None:
-            _execute(then, problem, p, report, threads)
+            _execute(then, problem, p, report)
     else:
         p = ZeroLocusPresentation(problem.ring, tuple(problem.ambient), tuple(problem.section))
         report = Report(task=problem.kind, status="INFO", input_sha256=digest)
-        _execute(problem.kind, problem, p, report, threads)
+        _execute(problem.kind, problem, p, report)
 
     report.elapsed_s = time.perf_counter() - started
     return report.exit_code, report
@@ -447,12 +447,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--then", default=None, metavar="TASK",
                         help="pipe a crit-generated presentation into a verifier task")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism hint for table cells; 0 means all cores")
+                        help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     try:
-        code, report = run(args.file, cutoff=args.cutoff,
-                           then=args.then, threads=args.threads)
+        code, report = run(args.file, cutoff=args.cutoff, then=args.then)
     except (ProblemFileError, ParseError, PresentationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

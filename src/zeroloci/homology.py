@@ -3,8 +3,7 @@
 Homology dimensions are computed cell by cell: for each cohomological
 degree i and internal degree d, two ranks over Q determine
 dim H^i(C)_d = dim(C^i)_d - rank(d^i)_d - rank(d^{i-1})_d.  There is no
-global normal form; cells are independent, so a table can be filled by
-any number of workers and assembled deterministically.
+global normal form; cells are independent and filled in a fixed order.
 
 Agreement of two tables up to a cutoff is this package's certificate of
 quasi-isomorphism; it is a statement about dimensions only, and the
@@ -13,7 +12,6 @@ regularity check is likewise only conclusive up to its cutoff.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,7 +33,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HilbertTable:
-    """dim H^i(C)_d for 0 <= d <= cutoff; absent entries are zero."""
+    """dim H^i(C)_d for min(0, lowest twist) <= d <= cutoff; absent entries are zero.
+
+    The ring is positively graded, so no term has a nonzero piece below its
+    lowest twist and the table misses no homology under the cutoff.
+    """
 
     cutoff: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -89,26 +91,22 @@ def default_cutoff(p: ZeroLocusPresentation) -> int:
     return 2 * sum(p.all_degrees)
 
 
-def homology_dimensions(c: Complex, cutoff: int, threads: int = 1) -> HilbertTable:
+def _degree_window(c: Complex, cutoff: int) -> range:
+    """Internal degrees from min(0, lowest twist of c) up to the cutoff."""
+    lowest = min((a for m in c.terms.values() for a in m.twists), default=0)
+    return range(min(0, lowest), cutoff + 1)
+
+
+def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
     """Exact homology dimensions for all internal degrees <= cutoff."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     support = c.support
     if not support:
         return HilbertTable(cutoff, {})
-    degrees = range(cutoff + 1)
-    jobs = [(i, d) for i in set(c.differentials) for d in degrees]
-
-    def rank_cell(job):
-        i, d = job
-        return job, matrix_rank_in_degree(c.differentials[i], d)
-
-    if threads == 1 or len(jobs) < 2:
-        ranks = dict(rank_cell(job) for job in jobs)
-    else:
-        workers = threads if threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ranks = dict(pool.map(rank_cell, jobs))
+    degrees = _degree_window(c, cutoff)
+    ranks = {(i, d): matrix_rank_in_degree(c.differentials[i], d)
+             for i in set(c.differentials) for d in degrees}
 
     entries = {}
     for i in support:
@@ -134,12 +132,12 @@ def compare_tables(a: HilbertTable, b: HilbertTable) -> Optional[tuple[int, int,
     return None
 
 
-def same_homology_dims(a: Complex, b: Complex, cutoff: int, threads: int = 1) -> DimComparison:
+def same_homology_dims(a: Complex, b: Complex, cutoff: int) -> DimComparison:
     """PASS when the homology tables agree everywhere up to the cutoff."""
     if a.ring != b.ring:
         raise RingMismatch("comparing complexes over different rings")
-    table_a = homology_dimensions(a, cutoff, threads=threads)
-    table_b = homology_dimensions(b, cutoff, threads=threads)
+    table_a = homology_dimensions(a, cutoff)
+    table_b = homology_dimensions(b, cutoff)
     witness = compare_tables(table_a, table_b)
     return DimComparison(witness is None, witness, table_a, table_b)
 
@@ -156,7 +154,7 @@ def is_regular_up_to(p: ZeroLocusPresentation, cutoff: int) -> RegularityVerdict
 def euler_characteristics_match(c: Complex, cutoff: int) -> bool:
     """Degreewise Euler characteristic of homology equals that of the terms."""
     table = homology_dimensions(c, cutoff)
-    for d in range(cutoff + 1):
+    for d in _degree_window(c, cutoff):
         chi_terms = sum((-1) ** (i % 2) * c.term(i).graded_dim(d) for i in c.support)
         chi_homology = sum((-1) ** (i % 2) * table.dim(i, d) for i in table.cohomological_degrees())
         if chi_terms != chi_homology:

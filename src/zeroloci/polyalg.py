@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+# each level of parentheses costs the recursive-descent parser four stack
+# frames; this bound keeps any input well clear of the interpreter's limit
+_MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -316,6 +319,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -396,8 +400,12 @@ class _Parser:
             except KeyError:
                 raise ParseError(f"unknown variable {value!r}", pos) from None
         if kind == "op" and value == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise ParseError("expected a number, variable or parenthesis", pos)

@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (
-    Complex,
-    cone,
-    module_map_chain,
-    sym_two_term,
-    tensor,
-    unit_complex,
-)
+from .complexes import Complex, sym_two_term, tensor, unit_complex
 from .polyalg import GradedFreeModule, GradedRing, Polynomial, PolyMatrix, RingMismatch
 
 __all__ = [
@@ -117,26 +110,19 @@ class SymInvariantsResult:
     truncated: bool
 
 
-def _two_term(poly: Polynomial, degree: int, ring: GradedRing) -> Complex:
-    """[R(-degree) --poly--> R] in degrees -1, 0, built as the cone of the cosection."""
-    source = GradedFreeModule(ring, (degree,))
-    target = GradedFreeModule(ring, (0,))
-    cosection = PolyMatrix(source, target, [[poly]])
-    return cone(module_map_chain(cosection))
+def _cosection(ring: GradedRing, entries: tuple[SectionEntry, ...]) -> Complex:
+    """[(+)_k R(-d_k) --(f_k)--> R] in degrees -1, 0, one generator of twist d_k per entry."""
+    bundle = GradedFreeModule(ring, tuple(degree for _, degree in entries))
+    line = GradedFreeModule(ring, (0,))
+    cosection = PolyMatrix(bundle, line, [[poly for poly, _ in entries]])
+    return Complex(ring, {-1: bundle, 0: line}, {-1: cosection})
 
 
 def koszul_complex(p: ZeroLocusPresentation) -> Complex:
     """Tensor of the two-term complexes of all entries, ambient first."""
     out = unit_complex(p.ring)
-    for poly, degree in p.all_entries:
-        out = tensor(out, _two_term(poly, degree, p.ring))
-    return out
-
-
-def _ambient_koszul(p: ZeroLocusPresentation) -> Complex:
-    out = unit_complex(p.ring)
-    for poly, degree in p.ambient:
-        out = tensor(out, _two_term(poly, degree, p.ring))
+    for entry in p.all_entries:
+        out = tensor(out, _cosection(p.ring, (entry,)))
     return out
 
 
@@ -144,40 +130,22 @@ def sym_cofib_invariants(p: ZeroLocusPresentation, n_max: int) -> SymInvariantsR
     """Weight-zero part of the symmetric algebra on the cofibre of the cosection.
 
     The direct sum of the symmetric powers up to n_max is regraded by the
-    auxiliary weight (the power of the generator of the trivial line);
-    weight-zero pieces are the exterior powers of the dual bundle, and the
-    connecting maps are read off from the symmetric-power differentials,
-    identifying weights along the trivial line generator.  The result is
-    tensored with the ambient Koszul complex when the ambient is derived.
+    auxiliary weight (the power of the generator of the trivial line); its
+    weight-zero pieces are the exterior powers Lambda^n of the dual bundle,
+    n <= top = min(n_max, rank), joined by contraction with the section.
+    The line generator has twist 0, so these are exactly the terms and
+    differentials of the single power Sym^top of the cofibre, whose degree
+    -n term is Lambda^n (x) Sym^(top - n)(line).  The result is tensored
+    with the ambient Koszul complex when the ambient is derived.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    ring = p.ring
-    r = p.rank
-    bundle = p.bundle_dual()
-    line = GradedFreeModule(ring, (0,))
-    cosection = PolyMatrix(bundle, line, [[poly for poly, _ in p.section]])
-    cofib = cone(module_map_chain(cosection))
-
-    top = min(n_max, r)
-    syms = {n: sym_two_term(cofib, n) for n in range(top + 1)}
-    terms = {}
-    diffs = {}
-    for n in range(top + 1):
-        weight_zero = syms[n].term(-n)
-        if weight_zero.rank:
-            terms[-n] = weight_zero
-    for n in range(1, top + 1):
-        if -n not in terms or -(n - 1) not in terms:
-            continue
-        connecting = syms[n].differential(-n)
-        # target basis in Sym^n is Lambda^{n-1} at weight one; the line
-        # generator carries twist 0, so the weight-zero copy has the same twists
-        diffs[-n] = PolyMatrix(terms[-n], terms[-(n - 1)], connecting.entries)
-    invariants = Complex(ring, terms, diffs)
+    cofib = _cosection(p.ring, p.section)
+    invariants = sym_two_term(cofib, min(n_max, p.rank))
     if p.ambient:
-        invariants = tensor(_ambient_koszul(p), invariants)
-    return SymInvariantsResult(invariants, truncated=n_max < r)
+        ambient = ZeroLocusPresentation(p.ring, (), p.ambient)
+        invariants = tensor(koszul_complex(ambient), invariants)
+    return SymInvariantsResult(invariants, truncated=n_max < p.rank)
 
 
 def critical_locus(w: Polynomial) -> ZeroLocusPresentation:

@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 `echelon_rank` is a deliberately separate Gaussian elimination over
-Fraction, used to cross-check the package's fraction-free rank kernel.
+Fraction, used to cross-check the package's rank kernel (sparse integer
+elimination with gcd-normalised rows).
 The corpus covers regular, repeated, non-regular, zero-section and
 derived-ambient presentations.
 """
@@ -18,7 +19,8 @@ from zeroloci.zerolocus import ZeroLocusPresentation, critical_locus
 
 
 def echelon_rank(rows: list[list[Fraction]]) -> int:
-    """Plain row-echelon rank over Q; independent of the package's Bareiss kernel."""
+    """Plain row-echelon rank over Q; independent of the package's gcd-normalised
+    sparse integer elimination."""
     mat = [list(map(Fraction, row)) for row in rows]
     if not mat or not mat[0]:
         return 0

@@ -203,6 +203,14 @@ def test_main_parse_error_exit_two(tmp_path, capsys):
     assert "position" in err
 
 
+def test_main_deep_nesting_exit_two(tmp_path, capsys):
+    entry = "(" * 400 + "x" + ")" * 400
+    path = write(tmp_path, "[ring]\nvariables = x\ndegrees = 1\n[section]\n"
+                           f"entries = {entry} : 1\n[task]\nkind = gclass\n")
+    assert main([path]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
 def test_main_invariant_violation_exit_two(tmp_path, capsys):
     path = write(tmp_path, "[ring]\nvariables = x, y\ndegrees = 1, 1\n[section]\n"
                            "entries = x + x*y : 1\n[task]\nkind = gclass\n")

@@ -18,7 +18,13 @@ from zeroloci.gtheory import (
     vpull,
     vpull_via_homology,
 )
-from zeroloci.zerolocus import PresentationError, ZeroLocusPresentation, koszul_complex
+from zeroloci.homology import homology_dimensions
+from zeroloci.zerolocus import (
+    PresentationError,
+    ZeroLocusPresentation,
+    koszul_complex,
+    sym_cofib_invariants,
+)
 
 from conftest import RING_X, RING_XY, derived_ambient_corpus, random_homogeneous
 from test_zerolocus import pres
@@ -175,6 +181,24 @@ def test_sym_ga_small(section):
 
 def test_sym_ga_pair():
     assert verify_sym_ga(pres(RING_XY, [("x", 1), ("y", 1)]), 8).passed
+
+
+def test_sym_ga_equal_complexes_share_one_table():
+    p = pres(RING_XY, [("x*y", 2), ("x^2", 2), ("y", 1)])
+    assert sym_cofib_invariants(p, p.rank).complex == koszul_complex(p)
+    cmp = verify_sym_ga(p, 8)
+    assert cmp.passed
+    assert cmp.table_a == cmp.table_b == homology_dimensions(koszul_complex(p), 8)
+
+
+def test_sym_ga_four_entries_compares_two_tables():
+    # with four entries the tensor basis and the subset basis order the
+    # degree -2 generators differently, so the complexes are unequal
+    p = pres(RING_XY, [("x", 1), ("y", 1), ("x + y", 1), ("x*y", 2)])
+    assert sym_cofib_invariants(p, p.rank).complex != koszul_complex(p)
+    cmp = verify_sym_ga(p, 6)
+    assert cmp.passed
+    assert cmp.table_a.entries
 
 
 def test_sym_ga_truncated_fails():

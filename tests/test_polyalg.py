@@ -68,6 +68,13 @@ def test_parse_parens_and_powers():
     assert parse_poly("x^0", RING_X) == RING_X.one()
 
 
+def test_parse_nesting_bound():
+    assert parse_poly("(" * 100 + "x" + ")" * 100, RING_X) == RING_X.variable("x")
+    with pytest.raises(ParseError) as err:
+        parse_poly("(" * 101 + "x" + ")" * 101, RING_X)
+    assert err.value.position == 100
+
+
 def test_parse_rejects_malformed():
     for text in ("x y", "x ** 2", "x ^ -1", "(x", "3x", "x /2"):
         with pytest.raises(ParseError):

@@ -1,6 +1,11 @@
 """Presentations, Koszul complexes, symmetric invariants and cotangent complexes."""
 
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeroloci.complexes import exterior_algebra, tensor, unit_complex, zero_complex
 from zeroloci.homology import homology_dimensions, same_homology_dims
@@ -16,7 +21,7 @@ from zeroloci.zerolocus import (
     sym_cofib_invariants,
 )
 
-from conftest import RING_X, RING_XY, RING_UV
+from conftest import RING_X, RING_XY, RING_UV, random_homogeneous
 
 
 def pres(ring, section, ambient=()):
@@ -130,6 +135,22 @@ def test_sym_invariants_truncation_flag():
     result = sym_cofib_invariants(p, 1)
     assert result.truncated
     assert result.complex.support == [-1, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2**16)), max_size=4),
+       st.integers(0, 5))
+def test_sym_invariants_terms_are_exterior_powers(drawn, n_max):
+    section = tuple((random_homogeneous(RING_XY, d, random.Random(seed), allow_zero=True), d)
+                    for d, seed in drawn)
+    p = ZeroLocusPresentation(RING_XY, (), section)
+    w = sym_cofib_invariants(p, n_max).complex
+    top = min(n_max, p.rank)
+    degrees = p.section_degrees
+    for n in range(top + 1):
+        subsets = itertools.combinations(range(p.rank), n)
+        assert w.term(-n).twists == tuple(sum(degrees[j] for j in sub) for sub in subsets)
+    assert w.support == list(range(-top, 1))
 
 
 def test_sym_invariants_with_derived_ambient():
