@@ -23,7 +23,8 @@ A problem file is a flat block format:
     potential = x^2*y               # crit only
 
 Lines starting with '#' are comments; unknown blocks or keys are rejected.
-Exit codes: 0 for PASS/INFO, 1 for FAIL, 2 for input errors.  With --json
+Exit codes: 0 for PASS/INFO, 1 for FAIL, 2 for input errors, 3 for engine
+faults (a failed internal cross-check or complex invariant).  With --json
 the report is a single deterministic JSON document on standard output.
 """
 
@@ -38,8 +39,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
-from .complexes import Complex, unit_complex
+from .complexes import Complex, ComplexInvariantError, unit_complex
 from .gtheory import (
+    CrossCheckError,
     KClass,
     kclass_of_complex,
     verify_excess,
@@ -452,6 +454,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         code, report = run(args.file, cutoff=args.cutoff, then=args.then)
+    except (CrossCheckError, ComplexInvariantError) as exc:
+        # ComplexInvariantError is a ValueError, so it must be caught first
+        print(f"engine fault: {exc}", file=sys.stderr)
+        return 3
     except (ProblemFileError, ParseError, PresentationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .complexes import Complex, exterior_algebra, tensor
+from .complexes import Complex, tensor
 from .homology import (
     DimComparison,
     HilbertTable,
+    compare_tables,
     homology_dimensions,
     same_homology_dims,
 )
@@ -228,24 +229,33 @@ def virtual_class(p: ZeroLocusPresentation) -> KClass:
 def verify_quantum_lefschetz(p: ZeroLocusPresentation, m: Complex) -> KVerdict:
     """Pushforward-pullback against twisting by the Euler class, at class level.
 
-    The bundle here is free, so the identity is independent of any
-    regularity of the section.
+    Classes multiply under tensor, so the left side is [m] times [kos].  The
+    bundle is free, so the identity is independent of any regularity of the section.
     """
     if m.ring != p.ring:
         raise RingMismatch("operand complex over a different ring")
-    lhs = kclass_of_complex(tensor(m, koszul_complex(p)))
+    lhs = kclass_of_complex(m) * kclass_of_complex(koszul_complex(p))
     rhs = kclass_of_complex(m) * lambda_minus_one(p.all_degrees)
     return KVerdict(lhs == rhs, lhs, rhs)
 
 
 def verify_excess(p: ZeroLocusPresentation, cutoff: int) -> ExcessResult:
-    """Self-intersection against the exterior-algebra twist, by dimension tables."""
+    """Self-intersection kos (x) kos against kos (x) Lambda(E), by dimension tables.
+
+    Lambda(E) has the terms of kos and zero differential, so the right table is
+    the kos table shifted by the degree and twist of each of those generators.
+    """
     kos = koszul_complex(p)
-    bundle = GradedFreeModule(p.ring, p.all_degrees)
-    lhs = tensor(kos, kos)
-    rhs = tensor(kos, exterior_algebra(bundle, bundle.rank))
-    cmp = same_homology_dims(lhs, rhs, cutoff)
-    return ExcessResult(cmp.passed, cmp.witness, cmp.table_a, cmp.table_b)
+    table = homology_dimensions(kos, cutoff)
+    shifted: dict[tuple[int, int], int] = {}
+    for n, module in kos.terms.items():
+        for twist in module.twists:
+            for (i, d), h in table.entries.items():
+                if d + twist <= cutoff:
+                    shifted[i + n, d + twist] = shifted.get((i + n, d + twist), 0) + h
+    lhs, rhs = homology_dimensions(tensor(kos, kos), cutoff), HilbertTable(cutoff, shifted)
+    witness = compare_tables(lhs, rhs)
+    return ExcessResult(witness is None, witness, lhs, rhs)
 
 
 def verify_sym_ga(p: ZeroLocusPresentation, cutoff: int,
@@ -254,9 +264,9 @@ def verify_sym_ga(p: ZeroLocusPresentation, cutoff: int,
 
     Equal complexes (an exact test, independent of the cutoff) share one
     table, reported on both sides.  They differ when the symmetric powers
-    are truncated, or with four or more entries, where the tensor basis of
-    the Koszul complex and the subset basis of the exterior powers are
-    ordered differently; then the two tables are compared.
+    are truncated, or with an ambient of three or more entries, whose
+    Koszul complex tensored with the section's exterior powers orders the
+    basis unlike the subset layout; then the two tables are compared.
     """
     if n_max is None:
         n_max = p.rank

@@ -35,6 +35,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 # each level of parentheses costs the recursive-descent parser four stack
 # frames; this bound keeps any input well clear of the interpreter's limit
 _MAX_NESTING = 100
+# powers are repeated products, one per unit of the exponent
+_MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -371,6 +373,8 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind != "num":
                 raise ParseError("expected a nonnegative integer exponent", pos)
+            if int(value) > _MAX_EXPONENT:
+                raise ParseError(f"exponent {value} exceeds {_MAX_EXPONENT}", pos)
             self.advance()
             return base ** int(value)
         return base

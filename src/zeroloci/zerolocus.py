@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Complex, sym_two_term, tensor, unit_complex
+from .complexes import Complex, sym_two_term, tensor
 from .polyalg import GradedFreeModule, GradedRing, Polynomial, PolyMatrix, RingMismatch
 
 __all__ = [
@@ -119,11 +119,11 @@ def _cosection(ring: GradedRing, entries: tuple[SectionEntry, ...]) -> Complex:
 
 
 def koszul_complex(p: ZeroLocusPresentation) -> Complex:
-    """Tensor of the two-term complexes of all entries, ambient first."""
-    out = unit_complex(p.ring)
-    for entry in p.all_entries:
-        out = tensor(out, _cosection(p.ring, (entry,)))
-    return out
+    """Exterior powers of all entries, ambient first, joined by contraction.
+
+    Up to three entries this equals the tensor of their two-term complexes.
+    """
+    return sym_two_term(_cosection(p.ring, p.all_entries), len(p.all_entries))
 
 
 def sym_cofib_invariants(p: ZeroLocusPresentation, n_max: int) -> SymInvariantsResult:

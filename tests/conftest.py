@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from zeroloci.polyalg import GradedRing, Polynomial, graded_piece_basis
 from zeroloci.zerolocus import ZeroLocusPresentation, critical_locus
@@ -52,6 +53,16 @@ def random_homogeneous(ring: GradedRing, degree: int, rng: random.Random,
     if poly.is_zero() and basis and not allow_zero:
         poly = Polynomial(ring, {basis[rng.randrange(len(basis))]: Fraction(1)})
     return poly
+
+
+# (declared degree, seed) pairs; `drawn_entries` turns them into section entries
+ENTRY_DRAWS = st.tuples(st.integers(1, 3), st.integers(0, 2**16))
+
+
+def drawn_entries(ring: GradedRing, drawn) -> tuple:
+    """Homogeneous entries (zero allowed) from `ENTRY_DRAWS` values."""
+    return tuple((random_homogeneous(ring, d, random.Random(seed), allow_zero=True), d)
+                 for d, seed in drawn)
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
 """Problem-file parsing, report rendering, exit codes and determinism."""
 
 import json
+import time
 
 import pytest
 
+from zeroloci import cli
 from zeroloci.cli import ProblemFileError, main, parse_problem_file, run
+from zeroloci.complexes import ComplexInvariantError
+from zeroloci.gtheory import CrossCheckError
 
 DIVISOR = """\
 [ring]
@@ -209,6 +213,25 @@ def test_main_deep_nesting_exit_two(tmp_path, capsys):
                            f"entries = {entry} : 1\n[task]\nkind = gclass\n")
     assert main([path]) == 2
     assert "nested deeper" in capsys.readouterr().err
+
+
+def test_main_large_exponent_exit_two(tmp_path, capsys):
+    path = write(tmp_path, "[ring]\nvariables = x\ndegrees = 1\n[section]\n"
+                           "entries = x^100000000 : 100000000\n[task]\nkind = gclass\n")
+    started = time.perf_counter()
+    assert main([path]) == 2
+    assert time.perf_counter() - started < 0.5
+    assert "exponent 100000000 exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", [CrossCheckError, ComplexInvariantError])
+def test_main_engine_fault_exit_three(tmp_path, capsys, monkeypatch, fault):
+    def broken(p):
+        raise fault("injected")
+
+    monkeypatch.setattr(cli, "koszul_complex", broken)
+    assert main([write(tmp_path, NON_REGULAR.format(kind="gclass"))]) == 3
+    assert "engine fault: injected" in capsys.readouterr().err
 
 
 def test_main_invariant_violation_exit_two(tmp_path, capsys):

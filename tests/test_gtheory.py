@@ -1,8 +1,10 @@
 """K-polynomial classes, Euler classes and the identity verifiers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zeroloci.complexes import dual, shift, tensor, unit_complex
+from zeroloci.complexes import dual, exterior_algebra, shift, tensor, unit_complex
 from zeroloci.gtheory import (
     CrossCheckError,
     KClass,
@@ -19,6 +21,7 @@ from zeroloci.gtheory import (
     vpull_via_homology,
 )
 from zeroloci.homology import homology_dimensions
+from zeroloci.polyalg import GradedFreeModule
 from zeroloci.zerolocus import (
     PresentationError,
     ZeroLocusPresentation,
@@ -26,7 +29,14 @@ from zeroloci.zerolocus import (
     sym_cofib_invariants,
 )
 
-from conftest import RING_X, RING_XY, derived_ambient_corpus, random_homogeneous
+from conftest import (
+    ENTRY_DRAWS,
+    RING_X,
+    RING_XY,
+    derived_ambient_corpus,
+    drawn_entries,
+    random_homogeneous,
+)
 from test_zerolocus import pres
 
 
@@ -67,10 +77,23 @@ def test_kclass_shift_flips_sign():
     assert kclass_of_complex(shift(c, 1)) == -kclass_of_complex(c)
 
 
-def test_kclass_multiplicative_under_tensor():
+@settings(max_examples=30, deadline=None)
+@given(st.lists(ENTRY_DRAWS, max_size=2), st.integers(0, 1),
+       st.lists(ENTRY_DRAWS, max_size=1), st.lists(ENTRY_DRAWS, max_size=3))
+def test_kclass_multiplicative_under_tensor(operand, operand_shift, ambient, section):
     a = koszul_complex(pres(RING_XY, [("x", 1)]))
     b = koszul_complex(pres(RING_XY, [("x*y", 2)]))
     assert kclass_of_complex(tensor(a, b)) == kclass_of_complex(a) * kclass_of_complex(b)
+    # random (operand, presentation) pairs; the product complex is the oracle
+    # for the class-level left side of verify_quantum_lefschetz
+    m = shift(koszul_complex(ZeroLocusPresentation(RING_XY, (), drawn_entries(RING_XY, operand))),
+              operand_shift)
+    p = ZeroLocusPresentation(RING_XY, drawn_entries(RING_XY, ambient),
+                              drawn_entries(RING_XY, section))
+    kos = koszul_complex(p)
+    product = kclass_of_complex(tensor(m, kos))
+    assert product == kclass_of_complex(m) * kclass_of_complex(kos)
+    assert verify_quantum_lefschetz(p, m).lhs == product
 
 
 def test_kclass_homology_route_agrees():
@@ -167,6 +190,15 @@ def test_excess_non_regular():
     assert result.table_restricted.entries  # nontrivial tables
 
 
+def test_excess_rhs_matches_product_table(corpus):
+    # oracle: the table of the product complex kos (x) Lambda(E) itself
+    for p in corpus:
+        kos = koszul_complex(p)
+        bundle = GradedFreeModule(p.ring, p.all_degrees)
+        product = tensor(kos, exterior_algebra(bundle, bundle.rank))
+        assert verify_excess(p, 6).table_euler == homology_dimensions(product, 6)
+
+
 # -- symmetric invariants comparison ---------------------------------------------------------------
 
 
@@ -184,17 +216,20 @@ def test_sym_ga_pair():
 
 
 def test_sym_ga_equal_complexes_share_one_table():
-    p = pres(RING_XY, [("x*y", 2), ("x^2", 2), ("y", 1)])
-    assert sym_cofib_invariants(p, p.rank).complex == koszul_complex(p)
-    cmp = verify_sym_ga(p, 8)
-    assert cmp.passed
-    assert cmp.table_a == cmp.table_b == homology_dimensions(koszul_complex(p), 8)
+    for section in ([("x*y", 2), ("x^2", 2), ("y", 1)],
+                    [("x", 1), ("y", 1), ("x + y", 1), ("x*y", 2)]):
+        p = pres(RING_XY, section)
+        assert sym_cofib_invariants(p, p.rank).complex == koszul_complex(p)
+        cmp = verify_sym_ga(p, 8)
+        assert cmp.passed
+        assert cmp.table_a == cmp.table_b == homology_dimensions(koszul_complex(p), 8)
 
 
 def test_sym_ga_four_entries_compares_two_tables():
-    # with four entries the tensor basis and the subset basis order the
-    # degree -2 generators differently, so the complexes are unequal
-    p = pres(RING_XY, [("x", 1), ("y", 1), ("x + y", 1), ("x*y", 2)])
+    # the invariants tensor a three-entry ambient Koszul complex with the
+    # section's exterior powers; that basis order differs from the subset
+    # layout of the four-entry Koszul complex, so the complexes are unequal
+    p = pres(RING_XY, [("x*y", 2)], ambient=[("x", 1), ("y", 1), ("x + y", 1)])
     assert sym_cofib_invariants(p, p.rank).complex != koszul_complex(p)
     cmp = verify_sym_ga(p, 6)
     assert cmp.passed

@@ -1,7 +1,6 @@
 """Presentations, Koszul complexes, symmetric invariants and cotangent complexes."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +12,7 @@ from zeroloci.polyalg import GradedFreeModule, parse_poly
 from zeroloci.zerolocus import (
     PresentationError,
     ZeroLocusPresentation,
+    _cosection,
     cotangent_complex,
     critical_locus,
     jacobian_data,
@@ -21,7 +21,7 @@ from zeroloci.zerolocus import (
     sym_cofib_invariants,
 )
 
-from conftest import RING_X, RING_XY, RING_UV, random_homogeneous
+from conftest import ENTRY_DRAWS, RING_X, RING_XY, RING_UV, drawn_entries
 
 
 def pres(ring, section, ambient=()):
@@ -102,6 +102,34 @@ def test_koszul_concatenation_matches_tensor():
     assert same_homology_dims(combined, split, 8).passed
 
 
+def _assert_koszul_matches_iterated_tensor(p):
+    # oracle: the tensor of the entries' two-term complexes, one at a time
+    oracle = unit_complex(p.ring)
+    for entry in p.all_entries:
+        oracle = tensor(oracle, _cosection(p.ring, (entry,)))
+    kos = koszul_complex(p)
+    if len(p.all_entries) <= 3:
+        assert kos == oracle
+        return
+    assert kos.support == oracle.support
+    for i in kos.support:
+        assert sorted(kos.term(i).twists) == sorted(oracle.term(i).twists)
+    assert homology_dimensions(kos, 6) == homology_dimensions(oracle, 6)
+
+
+def test_koszul_matches_iterated_tensor_on_corpus(corpus):
+    for p in corpus:
+        _assert_koszul_matches_iterated_tensor(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([RING_XY, RING_UV]), st.lists(ENTRY_DRAWS, max_size=2),
+       st.lists(ENTRY_DRAWS, max_size=4))
+def test_koszul_matches_iterated_tensor_random(ring, ambient, section):
+    p = ZeroLocusPresentation(ring, drawn_entries(ring, ambient), drawn_entries(ring, section))
+    _assert_koszul_matches_iterated_tensor(p)
+
+
 # -- symmetric-power invariants ----------------------------------------------------
 
 
@@ -138,12 +166,9 @@ def test_sym_invariants_truncation_flag():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2**16)), max_size=4),
-       st.integers(0, 5))
+@given(st.lists(ENTRY_DRAWS, max_size=4), st.integers(0, 5))
 def test_sym_invariants_terms_are_exterior_powers(drawn, n_max):
-    section = tuple((random_homogeneous(RING_XY, d, random.Random(seed), allow_zero=True), d)
-                    for d, seed in drawn)
-    p = ZeroLocusPresentation(RING_XY, (), section)
+    p = ZeroLocusPresentation(RING_XY, (), drawn_entries(RING_XY, drawn))
     w = sym_cofib_invariants(p, n_max).complex
     top = min(n_max, p.rank)
     degrees = p.section_degrees
