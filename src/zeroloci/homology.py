@@ -5,6 +5,14 @@ degree i and internal degree d, two ranks over Q determine
 dim H^i(C)_d = dim(C^i)_d - rank(d^i)_d - rank(d^{i-1})_d.  There is no
 global normal form; cells are independent and filled in a fixed order.
 
+A rank cell below MODULAR_MIN_ENTRIES entries (rows x columns) is reduced
+exactly over Q.  A larger cell takes its rank mod a prime, which is a lower
+bound on the rank over Q, and keeps it only when a neighbour certifies it:
+d o d = 0 holds exactly, so rank(d^i)_d <= dim(C^i)_d - rank(d^{i-1})_d
+and rank(d^i)_d <= dim(C^{i+1})_d - rank(d^{i+1})_d, where any lower bound
+may stand in for a neighbour's rank.  A modular rank equal to one of these
+upper bounds is the rank over Q; every other cell is reduced exactly.
+
 Agreement of two tables up to a cutoff is this package's certificate of
 quasi-isomorphism; it is a statement about dimensions only, and the
 regularity check is likewise only conclusive up to its cutoff.
@@ -16,11 +24,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .complexes import Complex
-from .polyalg import RingMismatch, matrix_rank_in_degree
+from .polyalg import RingMismatch, matrix_rank_in_degree, modular_rank
 from .zerolocus import ZeroLocusPresentation, koszul_complex
 
 __all__ = [
     "HilbertTable",
+    "WorkLimitError",
+    "MAX_RANK_CELLS",
     "DimComparison",
     "RegularityVerdict",
     "homology_dimensions",
@@ -29,6 +39,18 @@ __all__ = [
     "default_cutoff",
     "euler_characteristics_match",
 ]
+
+
+# measured per cell on the benchmark's Koszul complexes (Python 3.11): the two
+# routes break even at 1,000-2,000 entries, the modular one is 1.5-4x faster
+# at 2,500-3,400 entries and 10-40x faster above 30,000
+MODULAR_MIN_ENTRIES = 2000
+# one table may need at most this many rank cells (differentials x degrees)
+MAX_RANK_CELLS = 10000
+
+
+class WorkLimitError(ValueError):
+    """A table would need more rank cells than MAX_RANK_CELLS."""
 
 
 @dataclass(frozen=True)
@@ -97,16 +119,46 @@ def _degree_window(c: Complex, cutoff: int) -> range:
     return range(min(0, lowest), cutoff + 1)
 
 
+def _ranks(c: Complex, degrees: range) -> dict[tuple[int, int], int]:
+    """Rank over Q of d^i in degree d for every differential and degree.
+
+    Small cells are exact; large ones are modular and kept where the
+    certificate of the module docstring holds, else reduced exactly.
+    """
+    ranks = {}
+    modular = []
+    for i, m in sorted(c.differentials.items()):
+        for d in degrees:
+            if m.target.graded_dim(d) * m.source.graded_dim(d) < MODULAR_MIN_ENTRIES:
+                ranks[i, d] = matrix_rank_in_degree(m, d)
+            else:
+                ranks[i, d] = modular_rank(*m.degree_rows(d))
+                modular.append((i, d))
+    for i, d in modular:
+        r = ranks[i, d]
+        if (r != c.term(i).graded_dim(d) - ranks.get((i - 1, d), 0)
+                and r != c.term(i + 1).graded_dim(d) - ranks.get((i + 1, d), 0)):
+            ranks[i, d] = matrix_rank_in_degree(c.differentials[i], d)
+    return ranks
+
+
 def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
-    """Exact homology dimensions for all internal degrees <= cutoff."""
+    """Exact homology dimensions for all internal degrees <= cutoff.
+
+    Raises WorkLimitError, before any matrix is assembled, when the table
+    needs more than MAX_RANK_CELLS rank cells.
+    """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     support = c.support
     if not support:
         return HilbertTable(cutoff, {})
     degrees = _degree_window(c, cutoff)
-    ranks = {(i, d): matrix_rank_in_degree(c.differentials[i], d)
-             for i in set(c.differentials) for d in degrees}
+    cells = len(c.differentials) * len(degrees)
+    if cells > MAX_RANK_CELLS:
+        raise WorkLimitError(f"the table needs {cells} rank cells, more than the limit "
+                             f"of {MAX_RANK_CELLS}; lower the cutoff")
+    ranks = _ranks(c, degrees)
 
     entries = {}
     for i in support:

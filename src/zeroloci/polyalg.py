@@ -4,8 +4,13 @@ Polynomials carry a single positive Z-grading (each variable has a weight
 >= 1, so every graded piece is finite dimensional).  Coefficients are
 `fractions.Fraction`; there is no floating point anywhere in this package.
 Homogeneous matrices between twisted free modules reduce, degree by degree,
-to finite matrices over Q whose ranks are computed by sparse integer row
-reduction with gcd normalisation.
+to finite matrices over Q, assembled as sparse integer rows (the rational
+matrix times one positive integer, so ranks are unchanged).  Two kernels take
+their rank: `rational_rank`, exact sparse integer row reduction with gcd
+normalisation, and `modular_rank`, dense elimination mod the prime MODULUS
+in numpy int64, whose result is only a lower bound on the rank over Q;
+`homology` certifies it before use.  numpy is imported inside
+`modular_rank`, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -29,6 +35,8 @@ __all__ = [
     "graded_piece_basis",
     "matrix_rank_in_degree",
     "rational_rank",
+    "modular_rank",
+    "MODULUS",
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
@@ -37,6 +45,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 _MAX_NESTING = 100
 # powers are repeated products, one per unit of the exponent
 _MAX_EXPONENT = 1000
+# the prime of `modular_rank`: below 2^31, so a product of two residues fits int64
+MODULUS = 2147483629
 
 
 class ParseError(ValueError):
@@ -134,6 +144,12 @@ def graded_piece_basis(ring: GradedRing, d: int) -> tuple[tuple[int, ...], ...]:
         return ((),) if d == 0 else ()
     fill(0, d, ())
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _basis_position(ring: GradedRing, d: int) -> dict[tuple[int, ...], int]:
+    """Exponent vector -> its index in `graded_piece_basis(ring, d)`."""
+    return {exps: k for k, exps in enumerate(graded_piece_basis(ring, d))}
 
 
 class Polynomial:
@@ -549,11 +565,43 @@ class PolyMatrix:
         return (self.source == other.source and self.target == other.target
                 and self.entries == other.entries)
 
-    def degree_matrix(self, d: int) -> tuple[list[list[Fraction]], int, int]:
-        """The induced linear map on degree-d pieces as a dense Q-matrix.
+    def degree_rows(self, d: int) -> tuple[list[dict[int, int]], int]:
+        """The induced linear map on degree-d pieces as sparse integer rows.
 
-        Returns (rows, nrows, ncols); rows are indexed by the target basis
-        of degree d, columns by the source basis.
+        Returns (rows, ncols): one {column: value} dict per target basis
+        element of degree d, columns indexed by the source basis, columns
+        ascending.  The whole matrix is scaled by the lcm of the
+        coefficient denominators, which leaves every rank unchanged.
+        """
+        scale = 1
+        for row in self.entries:
+            for p in row:
+                for c in p.terms.values():
+                    scale = scale * c.denominator // gcd(scale, c.denominator)
+        ring = self.source.ring
+        offsets, position = [], []
+        nrows = 0
+        for a in self.target.twists:
+            offsets.append(nrows)
+            position.append(_basis_position(ring, d - a))
+            nrows += len(position[-1])
+        rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+        col = 0
+        for j, a in enumerate(self.source.twists):
+            terms = [(offsets[i], position[i], exps, c.numerator * (scale // c.denominator))
+                     for i, entry_row in enumerate(self.entries)
+                     for exps, c in entry_row[j].terms.items()]
+            for mu in graded_piece_basis(ring, d - a):
+                for offset, where, exps, value in terms:
+                    rows[offset + where[tuple(map(add, exps, mu))]][col] = value
+                col += 1
+        return rows, col
+
+    def degree_matrix(self, d: int) -> tuple[list[list[Fraction]], int, int]:
+        """The degree-d piece as a dense Q-matrix: a reference layout for tests.
+
+        Returns (rows, nrows, ncols) in the layout of `degree_rows`.  Ranks
+        are not computed from it.
         """
         src_basis = self.source.basis_in_degree(d)
         tgt_basis = self.target.basis_in_degree(d)
@@ -579,32 +627,16 @@ class PolyMatrix:
         return f"PolyMatrix[{body}]"
 
 
-def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
-    """Sparse integer representative of a rational row (scaling preserves rank)."""
-    lcm = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            lcm = lcm // gcd(lcm, d) * d
-    if lcm == 1:
-        sparse = {c: x.numerator for c, x in enumerate(row) if x}
-    else:
-        sparse = {c: int(x * lcm) for c, x in enumerate(row) if x}
-    if sparse:
-        g = 0
-        for v in sparse.values():
-            g = gcd(g, v)
-        if g > 1:
-            sparse = {c: v // g for c, v in sparse.items()}
-    return sparse
-
-
-def rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q by sparse integer row reduction with gcd normalisation."""
+def rational_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over Q of sparse integer rows by row reduction with gcd normalisation."""
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
-    for dense in rows:
-        row = _integer_row(dense)
+    for row in rows:
+        g = 0
+        for v in row.values():
+            g = gcd(g, v)
+        if g > 1:
+            row = {c: v // g for c, v in row.items()}
         while row:
             col = min(row)
             pivot = pivots.get(col)
@@ -635,7 +667,39 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
 
 def matrix_rank_in_degree(m: PolyMatrix, d: int) -> int:
     """Rank over Q of the degree-d piece of a homogeneous matrix."""
-    rows, nrows, ncols = m.degree_matrix(d)
-    if nrows == 0 or ncols == 0:
+    rows, ncols = m.degree_rows(d)
+    if not rows or not ncols:
         return 0
     return rational_rank(rows)
+
+
+def modular_rank(rows: list[dict[int, int]], ncols: int) -> int:
+    """Rank mod MODULUS of sparse integer rows, by dense int64 elimination.
+
+    A lower bound on the rank over Q: a minor that vanishes over the
+    integers vanishes mod p.  Residues stay below 2^31, so products fit int64.
+    """
+    if not rows or not ncols:
+        return 0
+    import numpy as np
+
+    a = np.zeros((len(rows), ncols), dtype=np.int64)
+    for r, row in enumerate(rows):
+        if row:
+            a[r, list(row)] = [v % MODULUS for v in row.values()]
+    rank = 0
+    for col in range(ncols):
+        hits = np.flatnonzero(a[rank:, col])
+        if not hits.size:
+            continue
+        pivot = rank + hits[0]
+        if pivot != rank:
+            a[[rank, pivot]] = a[[pivot, rank]]
+        below = rank + hits[1:]
+        if below.size:
+            head = a[rank, col:] * pow(int(a[rank, col]), -1, MODULUS) % MODULUS
+            a[below, col:] = (a[below, col:] - a[below, col, None] * head) % MODULUS
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank

@@ -1,14 +1,20 @@
 """Problem-file parsing, report rendering, exit codes and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import zeroloci
 from zeroloci import cli
 from zeroloci.cli import ProblemFileError, main, parse_problem_file, run
 from zeroloci.complexes import ComplexInvariantError
 from zeroloci.gtheory import CrossCheckError
+from zeroloci.homology import MAX_RANK_CELLS
 
 DIVISOR = """\
 [ring]
@@ -222,6 +228,34 @@ def test_main_large_exponent_exit_two(tmp_path, capsys):
     assert main([path]) == 2
     assert time.perf_counter() - started < 0.5
     assert "exponent 100000000 exceeds" in capsys.readouterr().err
+
+
+def test_main_rank_cell_limit_exit_two(tmp_path, capsys):
+    # one differential over 100001 internal degrees: refused before any assembly
+    path = write(tmp_path, DIVISOR.replace("cutoff = 8", "cutoff = 100000"))
+    started = time.perf_counter()
+    assert main([path]) == 2
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert "100001 rank cells" in err and f"limit of {MAX_RANK_CELLS}" in err
+
+
+def test_class_identities_leave_numpy_unloaded(tmp_path):
+    # numpy is imported by the modular rank kernel only; a run without large rank
+    # cells must not pay for its import
+    path = write(tmp_path, NON_REGULAR.format(kind="verify-lefschetz") + "module = x : 1\n")
+    script = ("import sys\n"
+              "import zeroloci\n"
+              "imported = 'numpy' in sys.modules\n"
+              "from zeroloci.cli import main\n"
+              "code = main([sys.argv[1]])\n"
+              "print(imported, code, 'numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(zeroloci.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, path], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "status:  PASS" in done.stdout
+    assert done.stdout.splitlines()[-1] == "False 0 False"
 
 
 @pytest.mark.parametrize("fault", [CrossCheckError, ComplexInvariantError])

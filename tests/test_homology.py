@@ -1,7 +1,10 @@
 """Hilbert tables, dimension comparisons and the regularity check."""
 
+import random
+
 import pytest
 
+from zeroloci import homology
 from zeroloci.complexes import cone, dual, identity_chain_map, tensor, zero_complex
 from zeroloci.homology import (
     euler_characteristics_match,
@@ -12,7 +15,7 @@ from zeroloci.homology import (
 from zeroloci.polyalg import graded_piece_basis, matrix_rank_in_degree
 from zeroloci.zerolocus import ZeroLocusPresentation, koszul_complex
 
-from conftest import RING_X, RING_XY, build_corpus, echelon_rank
+from conftest import RING_X, RING_XY, RING_XYZ, build_corpus, echelon_rank
 from test_zerolocus import pres
 
 
@@ -147,3 +150,47 @@ def test_h0_matches_quotient_dimension_oracle(section):
                 rows.append(row)
         span = echelon_rank(rows) if rows else 0
         assert table.dim(0, d) == len(ring_basis) - span
+
+
+# -- certified modular ranks -------------------------------------------------------------
+
+# x + y and x + (p + 1)*y are independent over Q and equal mod p
+PRIME_TRAP = pres(RING_XYZ, [("x + y", 1), ("x + 2147483630*y", 1)])
+CERTIFICATE_CUTOFF = 4
+
+
+def _certificate_tables(monkeypatch, min_entries):
+    monkeypatch.setattr(homology, "MODULAR_MIN_ENTRIES", min_entries)
+    return [homology_dimensions(koszul_complex(p), CERTIFICATE_CUTOFF)
+            for p in build_corpus() + [PRIME_TRAP]]
+
+
+def test_modular_route_matches_exact_route(monkeypatch):
+    exact = _certificate_tables(monkeypatch, 10**12)
+    assert _certificate_tables(monkeypatch, 0) == exact
+
+
+def test_prime_trap_falls_back_to_exact_ranks(monkeypatch):
+    monkeypatch.setattr(homology, "MODULAR_MIN_ENTRIES", 0)
+    exact_cells = []
+    monkeypatch.setattr(homology, "matrix_rank_in_degree",
+                        lambda m, d: exact_cells.append((m, d)) or matrix_rank_in_degree(m, d))
+    kos = koszul_complex(PRIME_TRAP)
+    table = homology_dimensions(kos, CERTIFICATE_CUTOFF)
+    # d^-1 has rank 1 mod p in degree 1 but 2 over Q, and so on up the window
+    assert exact_cells == [(kos.differential(-1), d) for d in range(1, CERTIFICATE_CUTOFF + 1)]
+    # a regular sequence cutting out the z-line: H^0 = Q[z], nothing else
+    assert table.entries == {(0, d): 1 for d in range(CERTIFICATE_CUTOFF + 1)}
+
+
+def test_underestimated_modular_rank_never_certifies(monkeypatch):
+    exact = _certificate_tables(monkeypatch, 10**12)
+    rng = random.Random(4)
+    kernel = homology.modular_rank
+
+    def low(rows, ncols):
+        r = kernel(rows, ncols)
+        return r - 1 if r and rng.random() < 0.5 else r
+
+    monkeypatch.setattr(homology, "modular_rank", low)
+    assert _certificate_tables(monkeypatch, 0) == exact

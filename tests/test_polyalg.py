@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeroloci.polyalg import (
+    MODULUS,
     GradedFreeModule,
     GradedRing,
     ParseError,
@@ -14,7 +15,9 @@ from zeroloci.polyalg import (
     Polynomial,
     graded_piece_basis,
     matrix_rank_in_degree,
+    modular_rank,
     parse_poly,
+    rational_rank,
 )
 
 from conftest import RING_X, RING_XY, echelon_rank, random_homogeneous
@@ -174,6 +177,55 @@ def test_rank_bounded_by_dimensions(rng):
             assert r <= min(source.graded_dim(d), target.graded_dim(d))
             dense, _, _ = m.degree_matrix(d)
             assert r == echelon_rank(dense)
+
+
+def test_degree_rows_scale_the_dense_layout(rng):
+    # one positive factor clears every denominator; layout and support are the dense ones
+    for _ in range(10):
+        src_twists = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+        tgt_twists = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+        rows = [[random_homogeneous(RING_XY, a - b, rng, allow_zero=True)
+                 * Fraction(1, rng.randint(1, 4)) for a in src_twists] for b in tgt_twists]
+        m = PolyMatrix(GradedFreeModule(RING_XY, src_twists),
+                       GradedFreeModule(RING_XY, tgt_twists), rows)
+        for d in range(4):
+            sparse, ncols = m.degree_rows(d)
+            dense, nrows, dense_cols = m.degree_matrix(d)
+            assert (len(sparse), ncols) == (nrows, dense_cols)
+            ratios = {Fraction(row[c]) / dense[r][c] for r, row in enumerate(sparse) for c in row}
+            assert len(ratios) <= 1 and all(q > 0 for q in ratios)
+            assert all(set(row) == {c for c, x in enumerate(dense[r]) if x}
+                       for r, row in enumerate(sparse))
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Small integer matrices; some rows are another row plus MODULUS times themselves."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-4, 4), st.integers(-2**70, 2**70))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    for j in draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+        k = draw(st.integers(0, nrows - 1))
+        rows[j] = [a + MODULUS * b for a, b in zip(rows[k], rows[j])]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_matrices())
+def test_modular_rank_is_a_lower_bound(dense):
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
+    exact = echelon_rank(dense)
+    assert rational_rank(sparse) == exact
+    assert modular_rank(sparse, len(dense[0])) <= exact
+
+
+def test_modular_rank_drops_when_the_prime_divides_a_minor():
+    # det [[1, 1], [1, 1 + p]] = p: rank 2 over Q, 1 mod p
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + MODULUS}]
+    assert rational_rank(rows) == 2
+    assert modular_rank(rows, 2) == 1
+    assert modular_rank([], 3) == modular_rank([{}], 0) == 0
 
 
 def test_matrix_homogeneity_enforced():
