@@ -39,11 +39,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
-from .complexes import Complex, ComplexInvariantError, unit_complex
+from .complexes import Complex, ComplexInvariantError, exterior_algebra
 from .gtheory import (
     CrossCheckError,
     KClass,
-    kclass_of_complex,
+    koszul_class,
     verify_excess,
     verify_quantum_lefschetz,
     verify_strong_factorization,
@@ -324,10 +324,9 @@ def parse_problem_file(text: str) -> ProblemFile:
 
 
 def _operand_complex(problem: ProblemFile, p: ZeroLocusPresentation) -> Complex:
-    if problem.module_entries is None:
-        return unit_complex(p.ring)
-    operand = ZeroLocusPresentation(p.ring, (), tuple(problem.module_entries))
-    return koszul_complex(operand)
+    """The operand's Koszul terms without a differential: its class reads only the terms."""
+    operand = ZeroLocusPresentation(p.ring, (), tuple(problem.module_entries or ()))
+    return exterior_algebra(operand.bundle_dual(), operand.rank)
 
 
 def _presentation_echo(p: ZeroLocusPresentation) -> dict:
@@ -350,7 +349,7 @@ def _execute(kind: str, problem: ProblemFile, p: ZeroLocusPresentation,
         report.tables["koszul"] = table
     elif kind == "gclass":
         report.status = "INFO"
-        report.kclass = str(kclass_of_complex(koszul_complex(p)))
+        report.kclass = str(koszul_class(p))
     elif kind == "virtual-class":
         report.status = "INFO"
         report.kclass = str(virtual_class(p))
@@ -387,16 +386,13 @@ def _execute(kind: str, problem: ProblemFile, p: ZeroLocusPresentation,
     elif kind == "vpull":
         kappa = problem.kappa if problem.kappa is not None else KClass.one()
         direct = vpull(p, kappa)
-        representative = complex_from_kclass(p.ring, kappa)
-        via_homology = vpull_via_homology(p, representative)
-        if direct == via_homology:
-            report.status = "PASS"
-            report.kclass = str(direct)
-            report.notes.append("direct and homology routes agree")
-        else:
-            report.status = "FAIL"
-            report.kclass = str(direct)
-            report.witness = {"lhs": str(direct), "rhs": str(via_homology)}
+        via_homology = vpull_via_homology(p, complex_from_kclass(p.ring, kappa))
+        if direct != via_homology:
+            raise CrossCheckError(
+                f"vpull mismatch: direct {direct} vs homology {via_homology}")
+        report.status = "PASS"
+        report.kclass = str(direct)
+        report.notes.append("direct and homology routes agree")
     else:
         raise ProblemFileError(f"unsupported task kind {kind!r}")
 

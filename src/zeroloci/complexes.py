@@ -11,12 +11,16 @@ so that matrix layouts are reproducible:
   in ascending lexicographic order.
 
 Every constructor checks d o d = 0 exactly; building an inconsistent
-complex raises ComplexInvariantError.
+complex raises ComplexInvariantError.  The constructors whose size can grow
+exponentially in their input (`tensor`, `exterior_algebra`, `sym_two_term`)
+count the generators they would build first and raise WorkLimitError,
+before allocating anything, above MAX_GENERATORS.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Mapping
 
 from .polyalg import (
@@ -30,6 +34,9 @@ __all__ = [
     "Complex",
     "ChainMap",
     "ComplexInvariantError",
+    "WorkLimitError",
+    "MAX_GENERATORS",
+    "check_generators",
     "unit_complex",
     "module_complex",
     "zero_complex",
@@ -46,8 +53,26 @@ __all__ = [
 ]
 
 
+# measured (Python 3.11, 2 cores): the largest complexes allowed, the Koszul
+# complex of 10 entries and kos (x) kos of 5 entries, build in about 5 s each,
+# mostly their exact d o d checks; the benchmark workloads and every test but
+# the limit's own build at most 64 generators
+MAX_GENERATORS = 1024
+
+
 class ComplexInvariantError(ValueError):
     """d o d != 0, a chain map fails to commute, or an unsupported shape."""
+
+
+class WorkLimitError(ValueError):
+    """A complex or a table would be larger than its named limit."""
+
+
+def check_generators(count: int) -> None:
+    """Raise WorkLimitError when a complex would have more than MAX_GENERATORS generators."""
+    if count > MAX_GENERATORS:
+        raise WorkLimitError(f"the complex would have {count} generators, more than the "
+                             f"limit of {MAX_GENERATORS}")
 
 
 class Complex:
@@ -280,6 +305,8 @@ def tensor(a: Complex, b: Complex) -> Complex:
     ring = a.ring
     if a.is_zero() or b.is_zero():
         return zero_complex(ring)
+    check_generators(sum(m.rank for m in a.terms.values())
+                     * sum(m.rank for m in b.terms.values()))
     degrees = sorted({i + j for i in a.terms for j in b.terms})
     bases = {n: _tensor_basis(a, b, n) for n in degrees}
     terms = {}
@@ -345,8 +372,9 @@ def exterior_algebra(f_dual: GradedFreeModule, max_power: int) -> Complex:
     if max_power < 0:
         raise ValueError("max_power must be >= 0")
     ring = f_dual.ring
-    terms = {}
     top = min(max_power, f_dual.rank)
+    check_generators(sum(comb(f_dual.rank, n) for n in range(top + 1)))
+    terms = {}
     for n in range(top + 1):
         twists = tuple(sum(f_dual.twists[j] for j in sub)
                        for sub in itertools.combinations(range(f_dual.rank), n))
@@ -376,6 +404,7 @@ def sym_two_term(a: Complex, n: int) -> Complex:
     line_twist = line.twists[0] if has_line else 0
     d = a.differential(-1)
     section = [d.entries[0][j] for j in range(r)] if has_line else []
+    check_generators(sum(comb(r, i) for i in range(min(n, r) + 1) if has_line or i == n))
 
     subsets = {}
     terms = {}

@@ -7,6 +7,11 @@ here is therefore a decidable equality of Laurent polynomials, and each
 main operation also carries an independent homology route (alternating
 sums of truncated Hilbert series of the homology) that must reproduce
 the direct answer.
+
+A class depends only on the terms of a complex, and classes multiply under
+tensor.  So a class is read off the terms (the Koszul class off the
+exterior powers of the entries) or taken as a product of classes, and a
+differential is built only where a homology route reads it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .complexes import Complex, tensor
+from .complexes import Complex, check_generators, exterior_algebra, tensor
 from .homology import (
     DimComparison,
     HilbertTable,
@@ -37,6 +42,7 @@ __all__ = [
     "CrossCheckError",
     "kclass_of_complex",
     "kclass_via_homology",
+    "koszul_class",
     "lambda_minus_one",
     "virtual_class",
     "verify_quantum_lefschetz",
@@ -179,6 +185,16 @@ def kclass_of_complex(c: Complex) -> KClass:
     return KClass(coeffs)
 
 
+def koszul_class(p: ZeroLocusPresentation) -> KClass:
+    """Class of the Koszul complex of p, read off its terms without building it.
+
+    The degree -n term of the Koszul complex is Lambda^n of all entries, so
+    its terms are those of the exterior algebra on the entries' twists.
+    """
+    bundle = GradedFreeModule(p.ring, p.all_degrees)
+    return kclass_of_complex(exterior_algebra(bundle, bundle.rank))
+
+
 def kclass_via_homology(c: Complex, cutoff: Optional[int] = None) -> KClass:
     """Class reconstructed from homology: sum of (-1)^i times the truncated
     Hilbert series of H^i, multiplied by the ring's denominator product.
@@ -229,12 +245,13 @@ def virtual_class(p: ZeroLocusPresentation) -> KClass:
 def verify_quantum_lefschetz(p: ZeroLocusPresentation, m: Complex) -> KVerdict:
     """Pushforward-pullback against twisting by the Euler class, at class level.
 
-    Classes multiply under tensor, so the left side is [m] times [kos].  The
-    bundle is free, so the identity is independent of any regularity of the section.
+    Classes multiply under tensor, so the left side is [m] times [kos], and
+    [kos] is read off the Koszul terms; no differential is built.  The bundle
+    is free, so the identity is independent of any regularity of the section.
     """
     if m.ring != p.ring:
         raise RingMismatch("operand complex over a different ring")
-    lhs = kclass_of_complex(m) * kclass_of_complex(koszul_complex(p))
+    lhs = kclass_of_complex(m) * koszul_class(p)
     rhs = kclass_of_complex(m) * lambda_minus_one(p.all_degrees)
     return KVerdict(lhs == rhs, lhs, rhs)
 
@@ -283,16 +300,17 @@ def vpull(p: ZeroLocusPresentation, kappa: KClass) -> KClass:
     return kappa * lambda_minus_one(p.section_degrees)
 
 
-def _section_koszul(p: ZeroLocusPresentation) -> Complex:
-    return koszul_complex(ZeroLocusPresentation(p.ring, (), p.section))
-
-
 def vpull_via_homology(p: ZeroLocusPresentation, representative: Complex) -> KClass:
-    """Homology route for the class pullback, from a representative complex."""
+    """Homology route for the class pullback, from a representative complex.
+
+    The class of representative (x) kos is [representative] times [kos], and
+    both factors are exact, so the homology route runs on the Koszul complex
+    of the section alone; the tensor complex is not built.
+    """
     if representative.ring != p.ring:
         raise RingMismatch("representative over a different ring")
-    restricted = tensor(representative, _section_koszul(p))
-    return kclass_via_homology(restricted)
+    section_kos = koszul_complex(ZeroLocusPresentation(p.ring, (), p.section))
+    return kclass_of_complex(representative) * kclass_via_homology(section_kos)
 
 
 def verify_strong_factorization(p: ZeroLocusPresentation) -> KVerdict:
@@ -308,7 +326,12 @@ def verify_strong_factorization(p: ZeroLocusPresentation) -> KVerdict:
 
 
 def complex_from_kclass(ring: GradedRing, kappa: KClass) -> Complex:
-    """A zero-differential representative: positive parts in degree 0, negative in degree 1."""
+    """A zero-differential representative: positive parts in degree 0, negative in degree 1.
+
+    One generator per unit of coefficient; raises WorkLimitError above
+    MAX_GENERATORS before allocating them.
+    """
+    check_generators(sum(abs(v) for v in kappa.coeffs.values()))
     pos = tuple(sorted(k for k, v in kappa.coeffs.items() for _ in range(max(v, 0))))
     neg = tuple(sorted(k for k, v in kappa.coeffs.items() for _ in range(max(-v, 0))))
     if any(k < 0 for k in pos + neg):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .complexes import Complex
+from .complexes import Complex, WorkLimitError
 from .polyalg import RingMismatch, matrix_rank_in_degree, modular_rank
 from .zerolocus import ZeroLocusPresentation, koszul_complex
 
@@ -31,6 +31,7 @@ __all__ = [
     "HilbertTable",
     "WorkLimitError",
     "MAX_RANK_CELLS",
+    "MAX_CELL_ENTRIES",
     "DimComparison",
     "RegularityVerdict",
     "homology_dimensions",
@@ -47,10 +48,12 @@ __all__ = [
 MODULAR_MIN_ENTRIES = 2000
 # one table may need at most this many rank cells (differentials x degrees)
 MAX_RANK_CELLS = 10000
-
-
-class WorkLimitError(ValueError):
-    """A table would need more rank cells than MAX_RANK_CELLS."""
+# and its largest rank cell at most this many entries (rows x columns), an
+# 8 MB int64 array for the modular kernel.  The largest cells met are 420 x 420
+# in the tests, 286 x 495 in the benchmark workloads and 858 x 495 in the
+# ladder's Koszul table at cutoff 12; at cutoff 13 (1092 x 660) that table
+# takes 1.2 s (Python 3.11, 2 cores)
+MAX_CELL_ENTRIES = 1000000
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,8 @@ def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
     """Exact homology dimensions for all internal degrees <= cutoff.
 
     Raises WorkLimitError, before any matrix is assembled, when the table
-    needs more than MAX_RANK_CELLS rank cells.
+    needs more than MAX_RANK_CELLS rank cells or its largest rank cell has
+    more than MAX_CELL_ENTRIES entries.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -158,6 +162,13 @@ def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
     if cells > MAX_RANK_CELLS:
         raise WorkLimitError(f"the table needs {cells} rank cells, more than the limit "
                              f"of {MAX_RANK_CELLS}; lower the cutoff")
+    rows, cols = max(((c.term(i + 1).graded_dim(d), c.term(i).graded_dim(d))
+                      for i in c.differentials for d in degrees),
+                     key=lambda shape: shape[0] * shape[1], default=(0, 0))
+    if rows * cols > MAX_CELL_ENTRIES:
+        raise WorkLimitError(f"the largest rank cell has {rows} x {cols} = {rows * cols} "
+                             f"entries, more than the limit of {MAX_CELL_ENTRIES}; "
+                             f"lower the cutoff")
     ranks = _ranks(c, degrees)
 
     entries = {}

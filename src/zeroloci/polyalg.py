@@ -33,6 +33,7 @@ __all__ = [
     "HomogeneityError",
     "parse_poly",
     "graded_piece_basis",
+    "graded_piece_dim",
     "matrix_rank_in_degree",
     "rational_rank",
     "modular_rank",
@@ -144,6 +145,22 @@ def graded_piece_basis(ring: GradedRing, d: int) -> tuple[tuple[int, ...], ...]:
         return ((),) if d == 0 else ()
     fill(0, d, ())
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def graded_piece_dim(ring: GradedRing, d: int) -> int:
+    """len(graded_piece_basis(ring, d)), counted without enumerating the monomials.
+
+    counts[k] is the number of monomials of weighted degree k in the
+    variables seen so far; each variable of weight w adds counts[k - w].
+    """
+    if d < 0:
+        return 0
+    counts = [1] + [0] * d
+    for w in ring.degrees:
+        for k in range(w, d + 1):
+            counts[k] += counts[k - w]
+    return counts[d]
 
 
 @lru_cache(maxsize=None)
@@ -461,7 +478,7 @@ class GradedFreeModule:
         return len(self.twists)
 
     def graded_dim(self, d: int) -> int:
-        return sum(len(graded_piece_basis(self.ring, d - a)) for a in self.twists)
+        return sum(graded_piece_dim(self.ring, d - a) for a in self.twists)
 
     def basis_in_degree(self, d: int) -> list[tuple[int, tuple[int, ...]]]:
         """Pairs (generator index, monomial exponent) spanning the degree-d piece."""

@@ -12,9 +12,10 @@ import pytest
 import zeroloci
 from zeroloci import cli
 from zeroloci.cli import ProblemFileError, main, parse_problem_file, run
-from zeroloci.complexes import ComplexInvariantError
-from zeroloci.gtheory import CrossCheckError
-from zeroloci.homology import MAX_RANK_CELLS
+from zeroloci.complexes import MAX_GENERATORS, ComplexInvariantError
+from zeroloci.gtheory import CrossCheckError, KClass
+from zeroloci.homology import MAX_CELL_ENTRIES, MAX_RANK_CELLS
+from zeroloci.polyalg import PolyMatrix
 
 DIVISOR = """\
 [ring]
@@ -264,8 +265,60 @@ def test_main_engine_fault_exit_three(tmp_path, capsys, monkeypatch, fault):
         raise fault("injected")
 
     monkeypatch.setattr(cli, "koszul_complex", broken)
-    assert main([write(tmp_path, NON_REGULAR.format(kind="gclass"))]) == 3
+    assert main([write(tmp_path, NON_REGULAR.format(kind="homology"))]) == 3
     assert "engine fault: injected" in capsys.readouterr().err
+
+
+def test_main_vpull_route_mismatch_exit_three(tmp_path, capsys, monkeypatch):
+    # the two vpull routes agree on any correct engine; a mismatch is a fault, not a FAIL
+    monkeypatch.setattr(cli, "vpull_via_homology", lambda p, rep: KClass.parse("1 + t"))
+    assert main([write(tmp_path, NON_REGULAR.format(kind="vpull"))]) == 3
+    captured = capsys.readouterr()
+    assert "engine fault: vpull mismatch" in captured.err
+    assert captured.out == ""
+
+
+HOSTILE_SIZES = {
+    # 12 entries: a Koszul complex of 4096 generators
+    "generators": ("[ring]\nvariables = x\ndegrees = 1\n[section]\nentries = "
+                   + ", ".join(["x : 1"] * 12) + "\n[task]\nkind = homology\n",
+                   f"4096 generators, more than the limit of {MAX_GENERATORS}"),
+    # one generator per unit of the input class
+    "kappa": (NON_REGULAR.format(kind="vpull") + "kappa = 100000000\n",
+              f"100000000 generators, more than the limit of {MAX_GENERATORS}"),
+    # ten variables at cutoff 10: graded pieces of 92378 and 48620 monomials
+    "cell": ("[ring]\nvariables = a, b, c, d, e, f, g, h, i, j\ndegrees = 1, 1, 1, 1, 1, 1, 1, "
+             "1, 1, 1\n[section]\nentries = a : 1\n[task]\nkind = homology\ncutoff = 10\n",
+             f"92378 x 48620 = 4491418360 entries, more than the limit of {MAX_CELL_ENTRIES}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_SIZES))
+def test_main_size_limits_exit_two(tmp_path, capsys, case):
+    text, message = HOSTILE_SIZES[case]
+    started = time.perf_counter()
+    assert main([write(tmp_path, text)]) == 2
+    assert time.perf_counter() - started < 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["gclass", "verify-lefschetz"])
+def test_class_tasks_build_no_differential(tmp_path, monkeypatch, kind):
+    # both classes are read off the Koszul terms: no d o d product is formed
+    calls = []
+    original = PolyMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(PolyMatrix, "__matmul__", counted)
+    text = NON_REGULAR.format(kind=kind) + "module = x : 1, x + y : 1\n"
+    code, report = run(write(tmp_path, text))
+    assert code == 0
+    assert report.kclass == ("1 - 2*t^2 + t^4" if kind == "gclass"
+                             else str(KClass.parse("(1 - t)^2 * (1 - t^2)^2")))
+    assert calls == []
 
 
 def test_main_invariant_violation_exit_two(tmp_path, capsys):

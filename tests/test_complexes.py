@@ -3,9 +3,11 @@
 import pytest
 
 from zeroloci.complexes import (
+    MAX_GENERATORS,
     ChainMap,
     Complex,
     ComplexInvariantError,
+    WorkLimitError,
     cone,
     direct_sum,
     dual,
@@ -276,6 +278,25 @@ def test_chain_map_commutation_enforced():
     with pytest.raises(ComplexInvariantError):
         ChainMap(a, a, bad)
     assert identity_chain_map(a).component(-1).entries[0][0] == RING_X.one()
+
+
+def test_generator_limit_refuses_before_building():
+    # 2^10 generators is the limit itself; one more entry doubles the count
+    assert MAX_GENERATORS == 2 ** 10
+    assert len(exterior_algebra(GradedFreeModule(RING_X, (1,) * 10), 10).terms) == 11
+    with pytest.raises(WorkLimitError, match="2048 generators"):
+        exterior_algebra(GradedFreeModule(RING_X, (1,) * 11), 11)
+    x = parse_poly("x", RING_X)
+    bundle, line = GradedFreeModule(RING_X, (1,) * 11), GradedFreeModule(RING_X, (0,))
+    cosection = Complex(RING_X, {-1: bundle, 0: line},
+                        {-1: PolyMatrix(bundle, line, [[x] * 11])})
+    with pytest.raises(WorkLimitError, match="2048 generators"):
+        sym_two_term(cosection, 11)
+    a = exterior_algebra(GradedFreeModule(RING_X, (1,) * 6), 6)
+    b = exterior_algebra(GradedFreeModule(RING_X, (1,) * 5), 5)
+    with pytest.raises(WorkLimitError, match=f"2048 generators, more than the limit of "
+                                             f"{MAX_GENERATORS}"):
+        tensor(a, b)
 
 
 def test_direct_sum_terms():

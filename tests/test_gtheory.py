@@ -11,6 +11,7 @@ from zeroloci.gtheory import (
     complex_from_kclass,
     kclass_of_complex,
     kclass_via_homology,
+    koszul_class,
     lambda_minus_one,
     verify_excess,
     verify_quantum_lefschetz,
@@ -33,6 +34,7 @@ from conftest import (
     ENTRY_DRAWS,
     RING_X,
     RING_XY,
+    build_corpus,
     derived_ambient_corpus,
     drawn_entries,
     random_homogeneous,
@@ -94,6 +96,10 @@ def test_kclass_multiplicative_under_tensor(operand, operand_shift, ambient, sec
     product = kclass_of_complex(tensor(m, kos))
     assert product == kclass_of_complex(m) * kclass_of_complex(kos)
     assert verify_quantum_lefschetz(p, m).lhs == product
+    # the Koszul class read off the exterior-algebra terms, against the built complex
+    bundle = GradedFreeModule(p.ring, p.all_degrees)
+    assert exterior_algebra(bundle, bundle.rank).terms == kos.terms
+    assert koszul_class(p) == kclass_of_complex(kos)
 
 
 def test_kclass_homology_route_agrees():
@@ -195,8 +201,12 @@ def test_excess_rhs_matches_product_table(corpus):
     for p in corpus:
         kos = koszul_complex(p)
         bundle = GradedFreeModule(p.ring, p.all_degrees)
-        product = tensor(kos, exterior_algebra(bundle, bundle.rank))
+        exterior = exterior_algebra(bundle, bundle.rank)
+        product = tensor(kos, exterior)
         assert verify_excess(p, 6).table_euler == homology_dimensions(product, 6)
+        # the same exterior algebra has the Koszul terms, so it carries the Koszul class
+        assert exterior.terms == kos.terms
+        assert koszul_class(p) == kclass_of_complex(kos)
 
 
 # -- symmetric invariants comparison ---------------------------------------------------------------
@@ -264,11 +274,16 @@ def test_vpull_functoriality_example():
 
 
 def test_vpull_homology_route_agrees():
-    p = pres(RING_XY, [("x*y", 2)])
-    kappa = KClass.parse("1 + t")
-    representative = complex_from_kclass(RING_XY, kappa)
-    assert kclass_of_complex(representative) == kappa
-    assert vpull_via_homology(p, representative) == vpull(p, kappa)
+    # oracle: the homology route on the tensor complex the class product replaces
+    for p in build_corpus() + [pres(RING_XY, [("x*y", 2)])]:
+        section_kos = koszul_complex(ZeroLocusPresentation(p.ring, (), p.section))
+        for text in ("1", "1 + t", "2 - t^2", "t - 3*t^3"):
+            kappa = KClass.parse(text)
+            representative = complex_from_kclass(p.ring, kappa)
+            assert kclass_of_complex(representative) == kappa
+            via_homology = vpull_via_homology(p, representative)
+            assert via_homology == vpull(p, kappa)
+            assert via_homology == kclass_via_homology(tensor(representative, section_kos))
 
 
 def test_vpull_ignores_differentials(rng):

@@ -14,6 +14,7 @@ from zeroloci.polyalg import (
     PolyMatrix,
     Polynomial,
     graded_piece_basis,
+    graded_piece_dim,
     matrix_rank_in_degree,
     modular_rank,
     parse_poly,
@@ -133,6 +134,13 @@ def test_basis_generating_function(ring):
         series = new
     for d in range(cutoff + 1):
         assert len(graded_piece_basis(ring, d)) == series[d]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=4), st.integers(-2, 12))
+def test_graded_piece_dim_counts_the_basis(degrees, d):
+    ring = GradedRing(tuple(f"x{i}" for i in range(len(degrees))), tuple(degrees))
+    assert graded_piece_dim(ring, d) == len(graded_piece_basis(ring, d))
 
 
 # -- matrix ranks ---------------------------------------------------------------
