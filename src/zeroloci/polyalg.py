@@ -543,23 +543,25 @@ class PolyMatrix:
         return all(p.is_zero() for row in self.entries for p in row)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Composite self o other (other applied first)."""
+        """Composite self o other (other applied first).
+
+        Sparse: each nonzero entry of a row of self meets only the nonzero
+        entries of the matching row of other, summed in ascending k.
+        """
         if other.target.twists != self.source.twists or other.target.ring != self.source.ring:
             raise ValueError("composition shape mismatch")
-        ring = self.source.ring
+        zero = self.source.ring.zero()
+        other_rows = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
+                      for row in other.entries]
         rows = []
-        for i in range(self.target.rank):
-            row = []
-            for j in range(other.source.rank):
-                acc = ring.zero()
-                for k in range(self.source.rank):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
+        for entry_row in self.entries:
+            acc: dict[int, Polynomial] = {}
+            for k, a in enumerate(entry_row):
+                if a.is_zero():
+                    continue
+                for j, b in other_rows[k]:
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            rows.append([acc.get(j, zero) for j in range(other.source.rank)])
         return PolyMatrix(other.source, self.target, rows)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":

@@ -2,7 +2,8 @@
 
 `echelon_rank` is a deliberately separate Gaussian elimination over
 Fraction, used to cross-check the package's rank kernel (sparse integer
-elimination with gcd-normalised rows).
+elimination with gcd-normalised rows); `dense_matmul` is the dense triple
+loop that the package's sparse `PolyMatrix.__matmul__` replaced.
 The corpus covers regular, repeated, non-regular, zero-section and
 derived-ambient presentations.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from zeroloci.polyalg import GradedRing, Polynomial, graded_piece_basis
+from zeroloci.polyalg import GradedRing, Polynomial, PolyMatrix, graded_piece_basis
 from zeroloci.zerolocus import ZeroLocusPresentation, critical_locus
 
 
@@ -42,6 +43,24 @@ def echelon_rank(rows: list[list[Fraction]]) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def dense_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """a o b by the dense triple loop over every (i, k, j)."""
+    ring = a.source.ring
+    rows = []
+    for i in range(a.target.rank):
+        row = []
+        for j in range(b.source.rank):
+            acc = ring.zero()
+            for k in range(a.source.rank):
+                x, y = a.entries[i][k], b.entries[k][j]
+                if x.is_zero() or y.is_zero():
+                    continue
+                acc = acc + x * y
+            row.append(acc)
+        rows.append(row)
+    return PolyMatrix(b.source, a.target, rows)
 
 
 def random_homogeneous(ring: GradedRing, degree: int, rng: random.Random,

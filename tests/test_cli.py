@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import zeroloci
-from zeroloci import cli
+from zeroloci import cli, gtheory
 from zeroloci.cli import ProblemFileError, main, parse_problem_file, run
 from zeroloci.complexes import MAX_GENERATORS, ComplexInvariantError
-from zeroloci.gtheory import CrossCheckError, KClass
-from zeroloci.homology import MAX_CELL_ENTRIES, MAX_RANK_CELLS
+from zeroloci.gtheory import CrossCheckError, KClass, excess_certificate
+from zeroloci.homology import MAX_CELL_ENTRIES, MAX_RANK_CELLS, MAX_TABLE_CELLS
 from zeroloci.polyalg import PolyMatrix
 
 DIVISOR = """\
@@ -290,6 +290,14 @@ HOSTILE_SIZES = {
     "cell": ("[ring]\nvariables = a, b, c, d, e, f, g, h, i, j\ndegrees = 1, 1, 1, 1, 1, 1, 1, "
              "1, 1, 1\n[section]\nentries = a : 1\n[task]\nkind = homology\ncutoff = 10\n",
              f"92378 x 48620 = 4491418360 entries, more than the limit of {MAX_CELL_ENTRIES}"),
+    # the zero section has no differential, hence no rank cell: two terms over 200001 degrees
+    "window": ("[ring]\nvariables = x, y\ndegrees = 1, 1\n[section]\nentries = 0 : 1\n"
+               "[task]\nkind = homology\ncutoff = 200000\n",
+               f"400002 table cells, more than the limit of {MAX_TABLE_CELLS}"),
+    # the homology route of virtual-class runs up to the largest twist, here 10^8
+    "zero-degree": ("[ring]\nvariables = x\ndegrees = 1\n[section]\nentries = 0 : 100000000\n"
+                    "[task]\nkind = virtual-class\n",
+                    f"200000002 table cells, more than the limit of {MAX_TABLE_CELLS}"),
 }
 
 
@@ -300,6 +308,36 @@ def test_main_size_limits_exit_two(tmp_path, capsys, case):
     assert main([write(tmp_path, text)]) == 2
     assert time.perf_counter() - started < 1
     assert message in capsys.readouterr().err
+
+
+def test_main_excess_certificate_fault_exit_three(tmp_path, capsys, monkeypatch):
+    # one sign of Lambda(psi) flipped: the map no longer commutes, an engine fault
+    original = gtheory._wedge_sign
+
+    def flipped(s, t, u):
+        sign = original(s, t, u)
+        return -sign if (s, t, u) == ((), (0,), (0,)) else sign
+
+    monkeypatch.setattr(gtheory, "_wedge_sign", flipped)
+    excess_certificate.cache_clear()
+    try:
+        assert main([write(tmp_path, DIVISOR)]) == 3
+    finally:
+        excess_certificate.cache_clear()
+    captured = capsys.readouterr()
+    assert "engine fault: chain map fails to commute" in captured.err
+    assert captured.out == ""
+
+
+def test_main_excess_six_entries_exit_two_before_any_table(tmp_path, capsys, monkeypatch):
+    tables = []
+    monkeypatch.setattr(gtheory, "homology_dimensions", lambda c, cutoff: tables.append(1))
+    text = DIVISOR.replace("entries = x : 1", "entries = " + ", ".join(["x : 1"] * 6))
+    started = time.perf_counter()
+    assert main([write(tmp_path, text)]) == 2
+    assert time.perf_counter() - started < 1
+    assert f"4096 generators, more than the limit of {MAX_GENERATORS}" in capsys.readouterr().err
+    assert tables == []
 
 
 @pytest.mark.parametrize("kind", ["gclass", "verify-lefschetz"])

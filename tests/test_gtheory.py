@@ -9,6 +9,7 @@ from zeroloci.gtheory import (
     CrossCheckError,
     KClass,
     complex_from_kclass,
+    excess_certificate,
     kclass_of_complex,
     kclass_via_homology,
     koszul_class,
@@ -22,7 +23,7 @@ from zeroloci.gtheory import (
     vpull_via_homology,
 )
 from zeroloci.homology import homology_dimensions
-from zeroloci.polyalg import GradedFreeModule
+from zeroloci.polyalg import GradedFreeModule, GradedRing, PolyMatrix
 from zeroloci.zerolocus import (
     PresentationError,
     ZeroLocusPresentation,
@@ -180,33 +181,80 @@ def test_lefschetz_includes_ambient_degrees():
 
 def test_excess_divisor_tables():
     result = verify_excess(pres(RING_X, [("x", 1)]), 8)
-    assert result.passed
+    _excess_oracles(pres(RING_X, [("x", 1)]), 8)
     assert result.table_restricted.entries == {(0, 0): 1, (-1, 1): 1}
     assert result.table_euler.entries == {(0, 0): 1, (-1, 1): 1}
 
 
 def test_excess_zero_section_literal():
-    result = verify_excess(pres(RING_XY, [("0", 1)]), 8)
-    assert result.passed
+    _excess_oracles(pres(RING_XY, [("0", 1)]), 8)
 
 
 def test_excess_non_regular():
     result = verify_excess(pres(RING_XY, [("x*y", 2), ("x^2", 2)]), 8)
-    assert result.passed
+    _excess_oracles(pres(RING_XY, [("x*y", 2), ("x^2", 2)]), 8)
     assert result.table_restricted.entries  # nontrivial tables
 
 
+def _excess_oracles(p, cutoff):
+    """verify_excess against the tables of both product complexes themselves."""
+    kos = koszul_complex(p)
+    bundle = GradedFreeModule(p.ring, p.all_degrees)
+    exterior = exterior_algebra(bundle, bundle.rank)
+    result = verify_excess(p, cutoff)
+    assert result.table_euler == homology_dimensions(tensor(kos, exterior), cutoff)
+    assert result.table_restricted == homology_dimensions(tensor(kos, kos), cutoff)
+    return kos, exterior
+
+
 def test_excess_rhs_matches_product_table(corpus):
-    # oracle: the table of the product complex kos (x) Lambda(E) itself
+    # oracle: the tables of kos (x) Lambda(E) and of kos (x) kos themselves
     for p in corpus:
-        kos = koszul_complex(p)
-        bundle = GradedFreeModule(p.ring, p.all_degrees)
-        exterior = exterior_algebra(bundle, bundle.rank)
-        product = tensor(kos, exterior)
-        assert verify_excess(p, 6).table_euler == homology_dimensions(product, 6)
+        kos, exterior = _excess_oracles(p, 6)
         # the same exterior algebra has the Koszul terms, so it carries the Koszul class
         assert exterior.terms == kos.terms
         assert koszul_class(p) == kclass_of_complex(kos)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(ENTRY_DRAWS, max_size=1), st.lists(ENTRY_DRAWS, max_size=2))
+def test_excess_tables_match_product_tables_on_random_sections(ambient, section):
+    p = ZeroLocusPresentation(RING_XY, drawn_entries(RING_XY, ambient),
+                              drawn_entries(RING_XY, section))
+    _excess_oracles(p, 4)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_excess_certificate_is_an_isomorphism(r):
+    forward, inverse = excess_certificate(r)
+    ring = GradedRing(tuple(f"s{k}" for k in range(1, r + 1)), (1,) * r)
+    kos = koszul_complex(ZeroLocusPresentation(
+        ring, (), tuple((ring.variable(v), 1) for v in ring.variables)))
+    assert forward.source == tensor(kos, kos)
+    assert forward.target == tensor(kos, exterior_algebra(GradedFreeModule(ring, (1,) * r), r))
+    for n in forward.source.support:
+        identity = PolyMatrix.identity(forward.source.term(n))
+        assert inverse[n] @ forward.component(n) == forward.component(n) @ inverse[n] == identity
+    # generators e_S (x) e'_T with T empty are fixed; the map is not the identity
+    assert any(forward.component(n) != PolyMatrix.identity(forward.source.term(n))
+               for n in forward.source.support)
+
+
+def test_excess_certificate_divisor_by_hand():
+    # basis of degree -1: e_1 (x) 1, 1 (x) e'_1; psi(e'_1) = e_1 + e'_1
+    forward, _ = excess_certificate(1)
+    one, zero = forward.source.ring.one(), forward.source.ring.zero()
+    assert forward.component(-1).entries == ((one, one), (zero, one))
+    assert forward.component(-2).entries == ((one,),)
+
+
+def test_excess_certificate_built_once_per_entry_count():
+    excess_certificate.cache_clear()
+    verify_excess(pres(RING_XY, [("x", 1), ("y", 1)]), 4)
+    verify_excess(pres(RING_X, [("x^2", 2), ("x^3", 3)]), 4)
+    verify_excess(pres(RING_X, [("x", 1)]), 4)
+    info = excess_certificate.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
 
 
 # -- symmetric invariants comparison ---------------------------------------------------------------

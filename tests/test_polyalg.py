@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from zeroloci.polyalg import (
     rational_rank,
 )
 
-from conftest import RING_X, RING_XY, echelon_rank, random_homogeneous
+from conftest import RING_X, RING_XY, dense_matmul, echelon_rank, random_homogeneous
 
 RING_W = GradedRing(("x", "y"), (1, 2))
 
@@ -234,6 +236,34 @@ def test_modular_rank_drops_when_the_prime_divides_a_minor():
     assert rational_rank(rows) == 2
     assert modular_rank(rows, 2) == 1
     assert modular_rank([], 3) == modular_rank([{}], 0) == 0
+
+
+def _random_matrix(source, target, rng, zero_rows=(), zero_cols=()):
+    """Homogeneous entries (zero where the degree is negative), with chosen zero rows/columns."""
+    def entry(i, j):
+        degree = source.twists[j] - target.twists[i]
+        if i in zero_rows or j in zero_cols or degree < 0:
+            return RING_XY.zero()
+        scale = Fraction(1, rng.randint(1, 3))
+        return random_homogeneous(RING_XY, degree, rng, allow_zero=True) * scale
+
+    return PolyMatrix(source, target, [[entry(i, j) for j in range(source.rank)]
+                                       for i in range(target.rank)])
+
+
+TWISTS = st.lists(st.integers(0, 3), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(TWISTS, TWISTS, TWISTS, st.integers(0, 2**16), st.lists(st.integers(0, 3), max_size=3),
+       st.lists(st.integers(0, 3), max_size=3))
+def test_sparse_matmul_matches_dense(outer, middle, inner, seed, zero_rows, zero_cols):
+    # a o b with whole zero rows of a and zero columns of b, against the dense triple loop
+    rng = random.Random(seed)
+    source, mid, target = (GradedFreeModule(RING_XY, t) for t in (inner, middle, outer))
+    a = _random_matrix(mid, target, rng, zero_rows=zero_rows)
+    b = _random_matrix(source, mid, rng, zero_cols=zero_cols)
+    assert a @ b == dense_matmul(a, b)
 
 
 def test_matrix_homogeneity_enforced():
