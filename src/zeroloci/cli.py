@@ -24,8 +24,9 @@ A problem file is a flat block format:
 
 Lines starting with '#' are comments; unknown blocks or keys are rejected.
 Exit codes: 0 for PASS/INFO, 1 for FAIL, 2 for input errors, 3 for engine
-faults (a failed internal cross-check or complex invariant).  With --json
-the report is a single deterministic JSON document on standard output.
+faults (a failed internal cross-check or complex invariant, or any other
+unexpected exception).  With --json the report is a single deterministic
+JSON document on standard output.
 """
 
 from __future__ import annotations
@@ -441,8 +442,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
     parser.add_argument("--then", default=None, metavar="TASK",
                         help="pipe a crit-generated presentation into a verifier task")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     try:
@@ -454,6 +453,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ProblemFileError, ParseError, PresentationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # any other crash is an engine bug too; exit 1 would read as FAIL
+        import traceback  # only a crash needs it; kept off the import path
+
+        traceback.print_exc()
+        detail = exc.args[0] if len(exc.args) == 1 else exc
+        print(f"engine fault: {detail} ({type(exc).__name__})", file=sys.stderr)
+        return 3
 
     print(report.to_json() if args.json else report.to_text())
     return code

@@ -160,7 +160,7 @@ class ChainMap:
         for i in degrees:
             lhs = target.differential(i) @ _component(comps, source, target, i)
             rhs = _component(comps, source, target, i + 1) @ source.differential(i)
-            if not _same_entries(lhs, rhs):
+            if lhs.entries != rhs.entries:
                 raise ComplexInvariantError(f"chain map fails to commute at degree {i}")
         self.source = source
         self.target = target
@@ -175,10 +175,6 @@ def _component(comps, source: Complex, target: Complex, i: int) -> PolyMatrix:
     if f is None:
         return PolyMatrix.zero(source.term(i), target.term(i))
     return f
-
-
-def _same_entries(a: PolyMatrix, b: PolyMatrix) -> bool:
-    return a.entries == b.entries
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +281,6 @@ def direct_sum(a: Complex, b: Complex) -> Complex:
     return Complex(ring, terms, diffs)
 
 
-def _tensor_basis(a: Complex, b: Complex, n: int) -> list[tuple[int, int, int]]:
-    """Ordered basis of (a (x) b)^n as triples (left degree i, left gen, right gen)."""
-    out = []
-    for i in sorted(a.terms):
-        j = n - i
-        if j not in b.terms:
-            continue
-        for p in range(a.term(i).rank):
-            for q in range(b.term(j).rank):
-                out.append((i, p, q))
-    return out
-
-
 def tensor(a: Complex, b: Complex) -> Complex:
     """Total complex of the bigraded tensor product with Koszul signs."""
     if a.ring != b.ring:
@@ -308,7 +291,10 @@ def tensor(a: Complex, b: Complex) -> Complex:
     check_generators(sum(m.rank for m in a.terms.values())
                      * sum(m.rank for m in b.terms.values()))
     degrees = sorted({i + j for i in a.terms for j in b.terms})
-    bases = {n: _tensor_basis(a, b, n) for n in degrees}
+    # the basis of degree n as triples (left degree i, left gen, right gen)
+    bases = {n: [(i, p, q) for i in sorted(a.terms) if n - i in b.terms
+                 for p in range(a.term(i).rank) for q in range(b.term(n - i).rank)]
+             for n in degrees}
     terms = {}
     for n in degrees:
         twists = tuple(a.term(i).twists[p] + b.term(n - i).twists[q]

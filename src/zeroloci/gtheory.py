@@ -14,9 +14,10 @@ exterior powers of the entries) or taken as a product of classes, and a
 differential is built only where a homology route reads it.
 
 The excess-intersection identity is proved, not sampled: a chain
-isomorphism from the self-intersection kos (x) kos to kos (x) Lambda(E),
-checked exactly once per number of entries on the universal section,
-makes the two Hilbert tables one, read off the Koszul table.
+isomorphism from the self-intersection kos(f, f) (the entries listed
+twice) to kos(f, 0) (the entries, then as many zeros), both Koszul
+complexes, checked exactly once per number of entries on the universal
+section, makes the two Hilbert tables one, read off the Koszul table.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from .complexes import (
     ChainMap,
     Complex,
     ComplexInvariantError,
-    _tensor_basis,
     check_generators,
     exterior_algebra,
-    tensor,
 )
 from .homology import (
     DimComparison,
@@ -184,7 +183,7 @@ class KVerdict:
 
 @dataclass(frozen=True)
 class ExcessResult:
-    """Tables of kos (x) kos and of kos (x) Lambda(E), equal by a chain isomorphism.
+    """Tables of kos(f, f) and of kos(f, 0), equal by a chain isomorphism.
 
     There is no failing verdict: a certificate that fails to commute or to
     invert raises ComplexInvariantError instead.
@@ -283,28 +282,29 @@ def _wedge_sign(s: tuple[int, ...], t: tuple[int, ...], u: tuple[int, ...]) -> i
     return -1 if inversions % 2 else 1
 
 
-def _lambda_psi(kos: Complex, source: Complex, target: Complex,
-                c: int) -> dict[int, PolyMatrix]:
+def _lambda_psi(source: Complex, target: Complex, c: int) -> dict[int, PolyMatrix]:
     """Components of Lambda(psi), psi(e_k) = e_k and psi(e'_k) = c e_k + e'_k, from
-    source to target, both in the layout of kos (x) kos.
+    source to target, Koszul complexes of 2r entries over a ring of r variables.
 
-    Generator e_S (x) e'_T is the wedge e_S ^ e'_T in Lambda(E (+) E), so
-    Lambda(psi) sends it to the sum over U in T, disjoint from S, of
-    c^|U| times `_wedge_sign` times e_(S u U) (x) e'_(T - U).
+    Generators are subsets of range(2r), r + k standing for e'_k, so
+    e_(S u (r + T)) is the wedge e_S ^ e'_T in Lambda(E (+) E); Lambda(psi)
+    sends it to the sum over U in T, disjoint from S, of c^|U| times
+    `_wedge_sign` times e_(S u U u (r + T - U)).
     """
-    r = -kos.support[0]
-    subsets = {-n: list(itertools.combinations(range(r), n)) for n in range(r + 1)}
-    one, zero = kos.ring.one(), kos.ring.zero()
+    r = source.ring.nvars
+    one, zero = source.ring.one(), source.ring.zero()
     components = {}
     for n in source.support:
-        basis = [(subsets[i][p], subsets[n - i][q]) for i, p, q in _tensor_basis(kos, kos, n)]
-        index = {key: k for k, key in enumerate(basis)}
+        basis = list(itertools.combinations(range(2 * r), -n))
+        index = {w: k for k, w in enumerate(basis)}
         rows = [[zero] * len(basis) for _ in basis]
-        for col, (s, t) in enumerate(basis):
+        for col, w in enumerate(basis):
+            s = tuple(k for k in w if k < r)
+            t = tuple(k - r for k in w if k >= r)
             free = [k for k in t if k not in s]
             for size in range(len(free) + 1):
                 for u in itertools.combinations(free, size):
-                    row = index[tuple(sorted(s + u)), tuple(k for k in t if k not in u)]
+                    row = index[tuple(sorted(s + u)) + tuple(r + k for k in t if k not in u)]
                     rows[row][col] = one if _wedge_sign(s, t, u) * c ** size == 1 else -one
         components[n] = PolyMatrix(source.term(n), target.term(n), rows)
     return components
@@ -312,12 +312,14 @@ def _lambda_psi(kos: Complex, source: Complex, target: Complex,
 
 @lru_cache(maxsize=None)
 def excess_certificate(r: int) -> tuple[ChainMap, dict[int, PolyMatrix]]:
-    """The chain isomorphism kos (x) kos -> kos (x) Lambda(E) for r entries, and the
+    """The chain isomorphism kos(s, s) -> kos(s, 0) for r entries, and the
     components of its inverse.
 
     Built on the universal section, Q[s_1..s_r] with entries s_k of degree
-    1, and checked exactly: the map commutes with the differentials
-    (ChainMap checks it) and the inverse composed with it is the identity.
+    1, then r zeros of degree 1 in kos(s, 0): kos (x) kos and
+    kos (x) Lambda(E) under e_S (x) e'_T -> e_(S u (r + T)), with no sign.
+    Checked exactly: the map commutes with the differentials (ChainMap
+    checks it) and the inverse composed with it is the identity.
     All generators of one term share a twist, so each component is a square
     matrix over Q, a left inverse is two-sided and the inverse commutes too.
     The maps are constant and every differential entry is +-s_k whatever
@@ -327,13 +329,11 @@ def excess_certificate(r: int) -> tuple[ChainMap, dict[int, PolyMatrix]]:
     WorkLimitError above MAX_GENERATORS (from r = 6 on).
     """
     ring = GradedRing(tuple(f"s{k}" for k in range(1, r + 1)), (1,) * r)
-    universal = ZeroLocusPresentation(ring, (), tuple((ring.variable(v), 1)
-                                                      for v in ring.variables))
-    kos = koszul_complex(universal)
-    selfint = tensor(kos, kos)
-    twisted = tensor(kos, exterior_algebra(universal.bundle_dual(), r))
-    forward = ChainMap(selfint, twisted, _lambda_psi(kos, selfint, twisted, 1))
-    inverse = _lambda_psi(kos, twisted, selfint, -1)
+    entries = tuple((ring.variable(v), 1) for v in ring.variables)
+    selfint = koszul_complex(ZeroLocusPresentation(ring, entries, entries))
+    twisted = koszul_complex(ZeroLocusPresentation(ring, entries, ((ring.zero(), 1),) * r))
+    forward = ChainMap(selfint, twisted, _lambda_psi(selfint, twisted, 1))
+    inverse = _lambda_psi(twisted, selfint, -1)
     for n in selfint.support:
         identity = PolyMatrix.identity(selfint.term(n))
         if inverse[n] @ forward.component(n) != identity:
@@ -342,14 +342,14 @@ def excess_certificate(r: int) -> tuple[ChainMap, dict[int, PolyMatrix]]:
 
 
 def verify_excess(p: ZeroLocusPresentation, cutoff: int) -> ExcessResult:
-    """Self-intersection kos (x) kos against kos (x) Lambda(E), by one Koszul table.
+    """Self-intersection kos(f, f) against kos(f, 0), by one Koszul table.
 
     The two complexes are isomorphic through `excess_certificate`, checked
-    once per number of entries, so they share one table.  Lambda(E) has the
-    terms of kos and zero differential, so that table is the kos table
-    shifted by the degree and twist of each of those generators.  The
-    certificate runs first: from six entries on it raises WorkLimitError
-    before any table is computed.
+    once per number of entries, so they share one table.  kos(f, 0) is
+    kos (x) Lambda(E), and Lambda(E) has the terms of kos and zero
+    differential, so that table is the kos table shifted by the degree and
+    twist of each of those generators.  The certificate runs first: from
+    six entries on it raises WorkLimitError before any table is computed.
     """
     excess_certificate(len(p.all_entries))
     kos = koszul_complex(p)
@@ -368,20 +368,15 @@ def verify_sym_ga(p: ZeroLocusPresentation, cutoff: int,
                   n_max: Optional[int] = None) -> DimComparison:
     """Weight-zero symmetric-power complex against the Koszul complex.
 
-    Equal complexes (an exact test, independent of the cutoff) share one
-    table, reported on both sides.  They differ when the symmetric powers
-    are truncated, or with an ambient of three or more entries, whose
-    Koszul complex tensored with the section's exterior powers orders the
-    basis unlike the subset layout; then the two tables are compared.
+    Untruncated, the invariants are the Koszul complex itself: one table,
+    reported on both sides.  Truncated symmetric powers give a proper
+    subcomplex, and then the two tables are compared.
     """
-    if n_max is None:
-        n_max = p.rank
-    invariants = sym_cofib_invariants(p, n_max).complex
-    kos = koszul_complex(p)
-    if invariants == kos:
-        table = homology_dimensions(kos, cutoff)
+    result = sym_cofib_invariants(p, p.rank if n_max is None else n_max)
+    if not result.truncated:
+        table = homology_dimensions(result.complex, cutoff)
         return DimComparison(True, None, table, table)
-    return same_homology_dims(invariants, kos, cutoff)
+    return same_homology_dims(result.complex, koszul_complex(p), cutoff)
 
 
 def vpull(p: ZeroLocusPresentation, kappa: KClass) -> KClass:

@@ -147,19 +147,28 @@ def graded_piece_basis(ring: GradedRing, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# one count table per ring: counts[k] = graded_piece_dim(ring, k) for k < len(counts)
+_PIECE_COUNTS: dict[GradedRing, list[int]] = {}
+
+
 def graded_piece_dim(ring: GradedRing, d: int) -> int:
     """len(graded_piece_basis(ring, d)), counted without enumerating the monomials.
 
-    counts[k] is the number of monomials of weighted degree k in the
-    variables seen so far; each variable of weight w adds counts[k - w].
+    Built variable by variable: counts[k] is the number of monomials of
+    weighted degree k in the variables seen so far, and each variable of
+    weight w adds counts[k - w].  The ring's table is rebuilt at twice its
+    length when d runs past its end, so a window of W degrees costs O(W).
     """
     if d < 0:
         return 0
-    counts = [1] + [0] * d
-    for w in ring.degrees:
-        for k in range(w, d + 1):
-            counts[k] += counts[k - w]
+    counts = _PIECE_COUNTS.get(ring, ())
+    if d >= len(counts):
+        size = max(d + 1, 2 * len(counts))
+        counts = [1] + [0] * (size - 1)
+        for w in ring.degrees:
+            for k in range(w, size):
+                counts[k] += counts[k - w]
+        _PIECE_COUNTS[ring] = counts
     return counts[d]
 
 

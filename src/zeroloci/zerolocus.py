@@ -11,6 +11,7 @@ data is marked by an explicit truncation flag rather than an error.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .complexes import Complex, sym_two_term, tensor
@@ -132,20 +133,29 @@ def sym_cofib_invariants(p: ZeroLocusPresentation, n_max: int) -> SymInvariantsR
     The direct sum of the symmetric powers up to n_max is regraded by the
     auxiliary weight (the power of the generator of the trivial line); its
     weight-zero pieces are the exterior powers Lambda^n of the dual bundle,
-    n <= top = min(n_max, rank), joined by contraction with the section.
-    The line generator has twist 0, so these are exactly the terms and
-    differentials of the single power Sym^top of the cofibre, whose degree
-    -n term is Lambda^n (x) Sym^(top - n)(line).  The result is tensored
-    with the ambient Koszul complex when the ambient is derived.
+    n <= top = min(n_max, rank), joined by contraction with the section
+    (the line generator has twist 0).  Tensored with the ambient Koszul
+    complex they are the subcomplex of the Koszul complex spanned by the
+    subsets with at most top section entries (e_A (x) e_B -> e_(A u B)
+    needs no sign), which is built directly, in the Koszul layout;
+    untruncated (n_max >= rank) it is the Koszul complex itself.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    cofib = _cosection(p.ring, p.section)
-    invariants = sym_two_term(cofib, min(n_max, p.rank))
-    if p.ambient:
-        ambient = ZeroLocusPresentation(p.ring, (), p.ambient)
-        invariants = tensor(koszul_complex(ambient), invariants)
-    return SymInvariantsResult(invariants, truncated=n_max < p.rank)
+    kos = koszul_complex(p)
+    if n_max >= p.rank:
+        return SymInvariantsResult(kos, truncated=False)
+    # degree -n spans the n-subsets of all entries in lexicographic order,
+    # the section entries numbered after the ambient ones
+    kept = {i: [k for k, sub in enumerate(itertools.combinations(range(len(p.all_entries)), -i))
+                if sum(j >= len(p.ambient) for j in sub) <= n_max]
+            for i in kos.support}
+    terms = {i: GradedFreeModule(p.ring, tuple(kos.term(i).twists[k] for k in cols))
+             for i, cols in kept.items()}
+    diffs = {i: PolyMatrix(terms[i], terms[i + 1],
+                           [[d.entries[row][col] for col in kept[i]] for row in kept[i + 1]])
+             for i, d in kos.differentials.items()}
+    return SymInvariantsResult(Complex(p.ring, terms, diffs), truncated=True)
 
 
 def critical_locus(w: Polynomial) -> ZeroLocusPresentation:

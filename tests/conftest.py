@@ -3,20 +3,24 @@
 `echelon_rank` is a deliberately separate Gaussian elimination over
 Fraction, used to cross-check the package's rank kernel (sparse integer
 elimination with gcd-normalised rows); `dense_matmul` is the dense triple
-loop that the package's sparse `PolyMatrix.__matmul__` replaced.
+loop that the package's sparse `PolyMatrix.__matmul__` replaced;
+`tensor_in_subset_layout` reorders a tensor product of two Koszul-layout
+complexes into the one subset layout the package builds directly.
 The corpus covers regular, repeated, non-regular, zero-section and
 derived-ambient presentations.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from zeroloci.polyalg import GradedRing, Polynomial, PolyMatrix, graded_piece_basis
+from zeroloci.complexes import Complex, tensor
+from zeroloci.polyalg import GradedFreeModule, GradedRing, Polynomial, PolyMatrix, graded_piece_basis
 from zeroloci.zerolocus import ZeroLocusPresentation, critical_locus
 
 
@@ -61,6 +65,41 @@ def dense_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
             row.append(acc)
         rows.append(row)
     return PolyMatrix(b.source, a.target, rows)
+
+
+def tensor_in_subset_layout(a: Complex, b: Complex, width: int, height: int) -> Complex:
+    """tensor(a, b) with its basis e_S (x) e'_T reordered to e_(S u (width + T)).
+
+    a and b are in the Koszul subset layout on `width` and `height` entries:
+    degree -n spans subsets of size n in lexicographic order (a prefix of
+    the sizes, for a truncated complex).  The result lists the subsets of
+    range(width + height) it spans in lexicographic order, which is how the
+    Koszul complex of the concatenated entries and its subcomplexes are laid out.
+    """
+    t = tensor(a, b)
+    position = {}
+    for n in t.support:
+        # the tensor basis: left degree ascending, then row-major on generator pairs
+        labels = [s + tuple(width + k for k in u) for i in sorted(a.terms) if n - i in b.terms
+                  for s in itertools.combinations(range(width), -i)
+                  for u in itertools.combinations(range(height), i - n)]
+        assert len(labels) == t.term(n).rank
+        order = {label: k for k, label in enumerate(sorted(labels))}
+        position[n] = [order[label] for label in labels]
+    terms = {}
+    for n, module in t.terms.items():
+        twists = [0] * module.rank
+        for k, a_k in enumerate(module.twists):
+            twists[position[n][k]] = a_k
+        terms[n] = GradedFreeModule(t.ring, tuple(twists))
+    diffs = {}
+    for n, d in t.differentials.items():
+        rows = [[t.ring.zero()] * d.source.rank for _ in range(d.target.rank)]
+        for r, row in enumerate(d.entries):
+            for c, entry in enumerate(row):
+                rows[position[n + 1][r]][position[n][c]] = entry
+        diffs[n] = PolyMatrix(terms[n], terms[n + 1], rows)
+    return Complex(t.ring, terms, diffs)
 
 
 def random_homogeneous(ring: GradedRing, degree: int, rng: random.Random,

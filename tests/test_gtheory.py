@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zeroloci import gtheory, zerolocus
 from zeroloci.complexes import dual, exterior_algebra, shift, tensor, unit_complex
 from zeroloci.gtheory import (
     CrossCheckError,
@@ -22,7 +23,7 @@ from zeroloci.gtheory import (
     vpull,
     vpull_via_homology,
 )
-from zeroloci.homology import homology_dimensions
+from zeroloci.homology import homology_dimensions, same_homology_dims
 from zeroloci.polyalg import GradedFreeModule, GradedRing, PolyMatrix
 from zeroloci.zerolocus import (
     PresentationError,
@@ -39,8 +40,9 @@ from conftest import (
     derived_ambient_corpus,
     drawn_entries,
     random_homogeneous,
+    tensor_in_subset_layout,
 )
-from test_zerolocus import pres
+from test_zerolocus import pres, sym_invariants_oracle
 
 
 # -- KClass basics -----------------------------------------------------------------
@@ -228,10 +230,15 @@ def test_excess_tables_match_product_tables_on_random_sections(ambient, section)
 def test_excess_certificate_is_an_isomorphism(r):
     forward, inverse = excess_certificate(r)
     ring = GradedRing(tuple(f"s{k}" for k in range(1, r + 1)), (1,) * r)
-    kos = koszul_complex(ZeroLocusPresentation(
-        ring, (), tuple((ring.variable(v), 1) for v in ring.variables)))
-    assert forward.source == tensor(kos, kos)
-    assert forward.target == tensor(kos, exterior_algebra(GradedFreeModule(ring, (1,) * r), r))
+    entries = tuple((ring.variable(v), 1) for v in ring.variables)
+    kos = koszul_complex(ZeroLocusPresentation(ring, (), entries))
+    exterior = exterior_algebra(GradedFreeModule(ring, (1,) * r), r)
+    # kos(s, s) and kos(s, 0): kos (x) kos and kos (x) Lambda(E) relabelled e_(S u (r + T))
+    assert forward.source == koszul_complex(ZeroLocusPresentation(ring, entries, entries))
+    assert forward.target == koszul_complex(
+        ZeroLocusPresentation(ring, entries, ((ring.zero(), 1),) * r))
+    assert forward.source == tensor_in_subset_layout(kos, kos, r, r)
+    assert forward.target == tensor_in_subset_layout(kos, exterior, r, r)
     for n in forward.source.support:
         identity = PolyMatrix.identity(forward.source.term(n))
         assert inverse[n] @ forward.component(n) == forward.component(n) @ inverse[n] == identity
@@ -274,24 +281,47 @@ def test_sym_ga_pair():
 
 
 def test_sym_ga_equal_complexes_share_one_table():
-    for section in ([("x*y", 2), ("x^2", 2), ("y", 1)],
-                    [("x", 1), ("y", 1), ("x + y", 1), ("x*y", 2)]):
-        p = pres(RING_XY, section)
+    # untruncated, the invariants are the Koszul complex in its own layout,
+    # whatever the size of the ambient
+    for section, ambient in (([("x*y", 2), ("x^2", 2), ("y", 1)], []),
+                             ([("x", 1), ("y", 1), ("x + y", 1), ("x*y", 2)], []),
+                             ([("x*y", 2)], [("x", 1), ("y", 1), ("x + y", 1)])):
+        p = pres(RING_XY, section, ambient=ambient)
         assert sym_cofib_invariants(p, p.rank).complex == koszul_complex(p)
         cmp = verify_sym_ga(p, 8)
         assert cmp.passed
         assert cmp.table_a == cmp.table_b == homology_dimensions(koszul_complex(p), 8)
+        assert cmp.table_a.entries
 
 
-def test_sym_ga_four_entries_compares_two_tables():
-    # the invariants tensor a three-entry ambient Koszul complex with the
-    # section's exterior powers; that basis order differs from the subset
-    # layout of the four-entry Koszul complex, so the complexes are unequal
+def test_sym_ga_untruncated_builds_one_complex_and_one_table(monkeypatch):
+    calls = {"koszul": 0, "table": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for module in (zerolocus, gtheory):
+        monkeypatch.setattr(module, "koszul_complex", counted("koszul", module.koszul_complex))
+    monkeypatch.setattr(gtheory, "homology_dimensions",
+                        counted("table", gtheory.homology_dimensions))
     p = pres(RING_XY, [("x*y", 2)], ambient=[("x", 1), ("y", 1), ("x + y", 1)])
-    assert sym_cofib_invariants(p, p.rank).complex != koszul_complex(p)
-    cmp = verify_sym_ga(p, 6)
-    assert cmp.passed
-    assert cmp.table_a.entries
+    assert verify_sym_ga(p, 6).passed
+    assert calls == {"koszul": 1, "table": 1}
+
+
+def test_sym_ga_truncated_three_entry_ambient_compares_two_tables():
+    # truncated powers give a proper subcomplex, so two tables are compared;
+    # verdict and witness are those of the tensor-layout oracle
+    p = pres(RING_XY, [("x*y", 2), ("y^2", 2)], ambient=[("x", 1), ("y", 1), ("x + y", 1)])
+    assert sym_cofib_invariants(p, 1).complex != koszul_complex(p)
+    cmp = verify_sym_ga(p, 6, n_max=1)
+    oracle = same_homology_dims(tensor(*sym_invariants_oracle(p, 1)), koszul_complex(p), 6)
+    assert cmp == oracle
+    assert not cmp.passed
+    assert cmp.witness is not None
 
 
 def test_sym_ga_truncated_fails():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroloci.complexes import exterior_algebra, tensor, unit_complex, zero_complex
+from zeroloci.complexes import (
+    exterior_algebra,
+    sym_two_term,
+    tensor,
+    unit_complex,
+    zero_complex,
+)
 from zeroloci.homology import homology_dimensions, same_homology_dims
 from zeroloci.polyalg import GradedFreeModule, parse_poly
 from zeroloci.zerolocus import (
@@ -21,7 +27,15 @@ from zeroloci.zerolocus import (
     sym_cofib_invariants,
 )
 
-from conftest import ENTRY_DRAWS, RING_X, RING_XY, RING_UV, drawn_entries
+from conftest import (
+    ENTRY_DRAWS,
+    RING_X,
+    RING_XY,
+    RING_UV,
+    derived_ambient_corpus,
+    drawn_entries,
+    tensor_in_subset_layout,
+)
 
 
 def pres(ring, section, ambient=()):
@@ -186,6 +200,43 @@ def test_sym_invariants_with_derived_ambient():
     for i in kos.support:
         assert sorted(result.complex.term(i).twists) == sorted(kos.term(i).twists)
     assert same_homology_dims(result.complex, kos, 6).passed
+
+
+def sym_invariants_oracle(p, n_max):
+    """The ambient Koszul complex and Sym^top of the cofibre, whose tensor the
+    invariants are up to the order of the basis."""
+    ambient = koszul_complex(ZeroLocusPresentation(p.ring, (), p.ambient))
+    return ambient, sym_two_term(_cosection(p.ring, p.section), min(n_max, p.rank))
+
+
+def _assert_sym_invariants_match_oracle(p, cutoff):
+    """Every n_max from 0 to rank + 1 against the tensor oracle."""
+    kos = koszul_complex(p)
+    for n_max in range(p.rank + 2):
+        result = sym_cofib_invariants(p, n_max)
+        ambient, powers = sym_invariants_oracle(p, n_max)
+        oracle = tensor(ambient, powers)
+        assert result.truncated == (n_max < p.rank)
+        assert result.complex.support == oracle.support
+        for i in oracle.support:
+            assert sorted(result.complex.term(i).twists) == sorted(oracle.term(i).twists)
+        assert homology_dimensions(result.complex, cutoff) == homology_dimensions(oracle, cutoff)
+        # the same complex once e_A (x) e_B is relabelled e_(A u B)
+        assert result.complex == tensor_in_subset_layout(ambient, powers, len(p.ambient), p.rank)
+        assert (result.complex == kos) == (not result.truncated)
+
+
+def test_sym_invariants_match_tensor_oracle_on_corpus(corpus):
+    for p in corpus + derived_ambient_corpus():
+        _assert_sym_invariants_match_oracle(p, 6)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(ENTRY_DRAWS, max_size=3), st.lists(ENTRY_DRAWS, max_size=2))
+def test_sym_invariants_match_tensor_oracle_random(ambient, section):
+    p = ZeroLocusPresentation(RING_XY, drawn_entries(RING_XY, ambient),
+                              drawn_entries(RING_XY, section))
+    _assert_sym_invariants_match_oracle(p, 4)
 
 
 # -- critical loci -------------------------------------------------------------------
