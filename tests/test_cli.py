@@ -15,7 +15,7 @@ from zeroloci.cli import ProblemFileError, main, parse_problem_file, run
 from zeroloci.complexes import MAX_GENERATORS, ComplexInvariantError
 from zeroloci.gtheory import CrossCheckError, KClass, excess_certificate
 from zeroloci.homology import MAX_CELL_ENTRIES, MAX_RANK_CELLS, MAX_TABLE_CELLS
-from zeroloci.polyalg import PolyMatrix
+from zeroloci.polyalg import _MAX_TERM_PRODUCTS, PolyMatrix
 
 DIVISOR = """\
 [ring]
@@ -298,7 +298,16 @@ HOSTILE_SIZES = {
     "zero-degree": ("[ring]\nvariables = x\ndegrees = 1\n[section]\nentries = 0 : 100000000\n"
                     "[task]\nkind = virtual-class\n",
                     f"200000002 table cells, more than the limit of {MAX_TABLE_CELLS}"),
+    # a negative truncation is refused before the Koszul complex is built
+    "negative-sym-max": (TRUNCATED_SYM.replace("sym_max = 1", "sym_max = -1"),
+                         "n_max must be >= 0"),
 }
+# a short power of a sum: each product costs one step per pair of terms
+for name, power in (("four", "(x + y + z + w)^1000"), ("two", "(x + y)^1000")):
+    HOSTILE_SIZES[f"power-of-{name}-terms"] = (
+        "[ring]\nvariables = x, y, z, w\ndegrees = 1, 1, 1, 1\n[section]\n"
+        f"entries = {power} : 1000\n[task]\nkind = homology\n",
+        f"term products, more than the limit of {_MAX_TERM_PRODUCTS}")
 # windows of 2^63 degrees or more, past what len() of a range can count
 HUGE = 10**20
 for kind in ("homology", "verify-excess", "verify-sym-ga"):

@@ -13,6 +13,7 @@ from zeroloci.complexes import (
     dual,
     exterior_algebra,
     identity_chain_map,
+    koszul_contractions,
     module_complex,
     module_map_chain,
     shift,
@@ -199,6 +200,12 @@ def test_exterior_truncation():
 
 
 # -- symmetric powers of two-term complexes ------------------------------------------
+
+
+def test_koszul_contractions_by_hand():
+    # e_1 ^ e_3 ^ e_4 contracts to e_3 ^ e_4, -e_1 ^ e_4 and e_1 ^ e_3
+    assert koszul_contractions((1, 3, 4)) == [(1, (3, 4), 1), (3, (1, 4), -1), (4, (1, 3), 1)]
+    assert koszul_contractions(()) == []
 
 
 def test_sym_one_is_identity():

@@ -1,11 +1,23 @@
 """K-polynomial classes, Euler classes and the identity verifiers."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroloci import gtheory, zerolocus
-from zeroloci.complexes import dual, exterior_algebra, shift, tensor, unit_complex
+from zeroloci import gtheory, homology, zerolocus
+from zeroloci.complexes import (
+    ChainMap,
+    Complex,
+    ComplexInvariantError,
+    dual,
+    exterior_algebra,
+    shift,
+    tensor,
+    unit_complex,
+)
 from zeroloci.gtheory import (
     CrossCheckError,
     KClass,
@@ -226,6 +238,38 @@ def test_excess_tables_match_product_tables_on_random_sections(ambient, section)
     _excess_oracles(p, 4)
 
 
+def _wedge_of_images(r, c, word):
+    """psi(e_j1) ^ ... ^ psi(e_jn) for the word (j1 < ... < jn), psi(e_k) = e_k and
+    psi(e'_k) = c e_k + e'_k, expanded letter by letter: a word with a repeated
+    letter is 0, any other is sorted with the sign of its permutation."""
+    out = {}
+    images = [[(j, 1)] if j < r else [(j - r, c), (j, 1)] for j in word]
+    for choice in itertools.product(*images):
+        letters = [j for j, _ in choice]
+        if len(set(letters)) < len(letters):
+            continue
+        inversions = sum(a > b for a, b in itertools.combinations(letters, 2))
+        coeff = (-1) ** inversions * math.prod(a for _, a in choice)
+        key = tuple(sorted(letters))
+        out[key] = out.get(key, 0) + coeff
+    return {w: a for w, a in out.items() if a}
+
+
+def _components(f, source, target):
+    """A map on words as constant PolyMatrix components between Koszul-layout complexes."""
+    ring, width = source.ring, 2 * source.ring.nvars
+    components = {}
+    for n in source.support:
+        basis = list(itertools.combinations(range(width), -n))
+        index = {w: k for k, w in enumerate(basis)}
+        rows = [[ring.zero()] * len(basis) for _ in basis]
+        for col, w in enumerate(basis):
+            for v, a in f[w].items():
+                rows[index[v]][col] = ring.one() * a
+        components[n] = PolyMatrix(source.term(n), target.term(n), rows)
+    return components
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_excess_certificate_is_an_isomorphism(r):
     forward, inverse = excess_certificate(r)
@@ -233,26 +277,83 @@ def test_excess_certificate_is_an_isomorphism(r):
     entries = tuple((ring.variable(v), 1) for v in ring.variables)
     kos = koszul_complex(ZeroLocusPresentation(ring, (), entries))
     exterior = exterior_algebra(GradedFreeModule(ring, (1,) * r), r)
+    selfint = koszul_complex(ZeroLocusPresentation(ring, entries, entries))
+    twisted = koszul_complex(ZeroLocusPresentation(ring, entries, ((ring.zero(), 1),) * r))
     # kos(s, s) and kos(s, 0): kos (x) kos and kos (x) Lambda(E) relabelled e_(S u (r + T))
-    assert forward.source == koszul_complex(ZeroLocusPresentation(ring, entries, entries))
-    assert forward.target == koszul_complex(
-        ZeroLocusPresentation(ring, entries, ((ring.zero(), 1),) * r))
-    assert forward.source == tensor_in_subset_layout(kos, kos, r, r)
-    assert forward.target == tensor_in_subset_layout(kos, exterior, r, r)
-    for n in forward.source.support:
-        identity = PolyMatrix.identity(forward.source.term(n))
-        assert inverse[n] @ forward.component(n) == forward.component(n) @ inverse[n] == identity
+    assert selfint == tensor_in_subset_layout(kos, kos, r, r)
+    assert twisted == tensor_in_subset_layout(kos, exterior, r, r)
+    # entry by entry, the maps are Lambda(psi) and Lambda(psi^-1) on every word
+    words = [w for n in range(2 * r + 1) for w in itertools.combinations(range(2 * r), n)]
+    assert forward == {w: _wedge_of_images(r, 1, w) for w in words}
+    assert inverse == {w: _wedge_of_images(r, -1, w) for w in words}
+    # the polynomial route: over Q[s] the map commutes (ChainMap checks it) and inverts
+    chain = ChainMap(selfint, twisted, _components(forward, selfint, twisted))
+    back = _components(inverse, twisted, selfint)
+    for n in selfint.support:
+        identity = PolyMatrix.identity(selfint.term(n))
+        assert back[n] @ chain.component(n) == chain.component(n) @ back[n] == identity
     # generators e_S (x) e'_T with T empty are fixed; the map is not the identity
-    assert any(forward.component(n) != PolyMatrix.identity(forward.source.term(n))
-               for n in forward.source.support)
+    assert any(chain.component(n) != PolyMatrix.identity(selfint.term(n))
+               for n in selfint.support)
 
 
 def test_excess_certificate_divisor_by_hand():
-    # basis of degree -1: e_1 (x) 1, 1 (x) e'_1; psi(e'_1) = e_1 + e'_1
-    forward, _ = excess_certificate(1)
-    one, zero = forward.source.ring.one(), forward.source.ring.zero()
-    assert forward.component(-1).entries == ((one, one), (zero, one))
-    assert forward.component(-2).entries == ((one,),)
+    # words () < (0,) < (1,) < (0, 1): 1, e_1, e'_1, e_1 ^ e'_1; psi(e'_1) = e_1 + e'_1
+    forward, inverse = excess_certificate(1)
+    assert forward == {(): {(): 1}, (0,): {(0,): 1}, (1,): {(0,): 1, (1,): 1},
+                       (0, 1): {(0, 1): 1}}
+    assert inverse == {(): {(): 1}, (0,): {(0,): 1}, (1,): {(0,): -1, (1,): 1},
+                       (0, 1): {(0, 1): 1}}
+
+
+def test_excess_certificate_passes_at_five_entries():
+    forward, inverse = excess_certificate(5)
+    assert len(forward) == len(inverse) == 4 ** 5
+
+
+def test_excess_certificate_catches_every_flipped_sign(monkeypatch):
+    original = gtheory._wedge_sign
+    triples = set()
+
+    def recorded(s, t, u):
+        triples.add((s, t, u))
+        return original(s, t, u)
+
+    def flipped_at(triple):
+        return lambda s, t, u: -original(s, t, u) if (s, t, u) == triple else original(s, t, u)
+
+    try:
+        monkeypatch.setattr(gtheory, "_wedge_sign", recorded)
+        excess_certificate.cache_clear()
+        excess_certificate(2)
+        # each k is in neither S nor T, in S only, in T only (in U or not) or in both
+        assert len(triples) == 5 ** 2
+        for triple in sorted(triples):
+            monkeypatch.setattr(gtheory, "_wedge_sign", flipped_at(triple))
+            excess_certificate.cache_clear()
+            with pytest.raises(ComplexInvariantError):
+                excess_certificate(2)
+    finally:
+        excess_certificate.cache_clear()
+
+
+def test_excess_certificate_builds_no_complex_chain_map_or_matrix(monkeypatch):
+    built = []
+
+    def counted(cls):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(cls.__name__)
+            original(self, *args, **kwargs)
+        return init
+
+    for cls in (Complex, ChainMap, PolyMatrix):
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    excess_certificate.cache_clear()
+    for r in range(1, 5):
+        excess_certificate(r)
+    assert built == []
 
 
 def test_excess_certificate_built_once_per_entry_count():
@@ -310,6 +411,25 @@ def test_sym_ga_untruncated_builds_one_complex_and_one_table(monkeypatch):
     p = pres(RING_XY, [("x*y", 2)], ambient=[("x", 1), ("y", 1), ("x + y", 1)])
     assert verify_sym_ga(p, 6).passed
     assert calls == {"koszul": 1, "table": 1}
+
+
+def test_sym_ga_truncated_builds_one_complex_and_two_tables(monkeypatch):
+    calls = {"koszul": 0, "table": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for module in (zerolocus, gtheory):
+        monkeypatch.setattr(module, "koszul_complex", counted("koszul", module.koszul_complex))
+    for module in (gtheory, homology):
+        monkeypatch.setattr(module, "homology_dimensions",
+                            counted("table", module.homology_dimensions))
+    p = pres(RING_XY, [("x*y", 2), ("y^2", 2)], ambient=[("x", 1), ("y", 1), ("x + y", 1)])
+    assert not verify_sym_ga(p, 6, n_max=1).passed
+    assert calls == {"koszul": 1, "table": 2}
 
 
 def test_sym_ga_truncated_three_entry_ambient_compares_two_tables():

@@ -12,7 +12,7 @@ from zeroloci.homology import (
     is_regular_up_to,
     same_homology_dims,
 )
-from zeroloci.polyalg import graded_piece_basis, matrix_rank_in_degree
+from zeroloci.polyalg import PolyMatrix, graded_piece_basis, rational_rank
 from zeroloci.zerolocus import ZeroLocusPresentation, koszul_complex
 
 from conftest import RING_X, RING_XY, RING_XYZ, build_corpus, echelon_rank
@@ -172,13 +172,19 @@ def test_modular_route_matches_exact_route(monkeypatch):
 
 def test_prime_trap_falls_back_to_exact_ranks(monkeypatch):
     monkeypatch.setattr(homology, "MODULAR_MIN_ENTRIES", 0)
-    exact_cells = []
-    monkeypatch.setattr(homology, "matrix_rank_in_degree",
-                        lambda m, d: exact_cells.append((m, d)) or matrix_rank_in_degree(m, d))
+    exact_cells, assembled = [], []
+    monkeypatch.setattr(homology, "rational_rank",
+                        lambda rows: exact_cells.append(rows) or rational_rank(rows))
+    degree_rows = PolyMatrix.degree_rows
+    monkeypatch.setattr(PolyMatrix, "degree_rows",
+                        lambda m, d: assembled.append((m, d)) or degree_rows(m, d))
     kos = koszul_complex(PRIME_TRAP)
     table = homology_dimensions(kos, CERTIFICATE_CUTOFF)
-    # d^-1 has rank 1 mod p in degree 1 but 2 over Q, and so on up the window
-    assert exact_cells == [(kos.differential(-1), d) for d in range(1, CERTIFICATE_CUTOFF + 1)]
+    # d^-1 has rank 1 mod p in degree 1 but 2 over Q, and so on up the window;
+    # each such cell is reduced exactly from the rows its modular rank was taken of
+    d1, fallback = kos.differential(-1), list(range(1, CERTIFICATE_CUTOFF + 1))
+    assert exact_cells == [degree_rows(d1, d)[0] for d in fallback]
+    assert [d for m, d in assembled if m is d1 and d in fallback] == fallback
     # a regular sequence cutting out the z-line: H^0 = Q[z], nothing else
     assert table.entries == {(0, d): 1 for d in range(CERTIFICATE_CUTOFF + 1)}
 
