@@ -3,6 +3,7 @@
 The package is organised bottom-up:
 
 * polyalg    - rational polynomials, twisted free modules, degreewise ranks
+* groebner   - Groebner bases and Hilbert series of homogeneous ideals
 * complexes  - bounded cochain complexes: shift, cone, tensor, dual, Sym/Lambda
 * zerolocus  - presentations of zero loci and their canonical complexes
 * homology   - exact Hilbert tables and dimension-level comparisons
@@ -45,6 +46,7 @@ from .zerolocus import (
 from .homology import (
     HilbertTable,
     homology_dimensions,
+    koszul_table,
     same_homology_dims,
     is_regular_up_to,
 )

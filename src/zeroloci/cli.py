@@ -54,13 +54,12 @@ from .gtheory import (
     vpull_via_homology,
     complex_from_kclass,
 )
-from .homology import HilbertTable, default_cutoff, homology_dimensions
+from .homology import HilbertTable, default_cutoff, koszul_table
 from .polyalg import GradedRing, ParseError, parse_poly
 from .zerolocus import (
     PresentationError,
     ZeroLocusPresentation,
     critical_locus,
-    koszul_complex,
 )
 
 __all__ = ["ProblemFile", "Report", "ProblemFileError", "run", "main"]
@@ -345,7 +344,7 @@ def _execute(kind: str, problem: ProblemFile, p: ZeroLocusPresentation,
              report: Report) -> None:
     cutoff = problem.cutoff if problem.cutoff is not None else default_cutoff(p)
     if kind == "homology":
-        table = homology_dimensions(koszul_complex(p), cutoff)
+        table = koszul_table(p, cutoff)
         report.status = "INFO"
         report.tables["koszul"] = table
     elif kind == "gclass":

@@ -10,8 +10,9 @@ the direct answer.
 
 A class depends only on the terms of a complex, and classes multiply under
 tensor.  So a class is read off the terms (the Koszul class off the
-exterior powers of the entries) or taken as a product of classes, and a
-differential is built only where a homology route reads it.
+exterior powers of the entries) or taken as a product of classes.  The
+homology routes read Koszul tables (`homology.koszul_table`), which build a
+differential only for the rank cells a Groebner basis of the entries leaves.
 
 The excess-intersection identity is proved, not sampled: a chain
 isomorphism from the self-intersection kos(f, f) (the entries listed
@@ -28,20 +29,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .complexes import (
     Complex,
     ComplexInvariantError,
     check_generators,
-    exterior_algebra,
     koszul_contractions,
 )
 from .homology import (
     DimComparison,
     HilbertTable,
+    compare_tables,
     homology_dimensions,
-    same_homology_dims,
+    koszul_table,
 )
 from .polyalg import GradedFreeModule, GradedRing, ParseError, RingMismatch
 from .zerolocus import (
@@ -49,6 +50,7 @@ from .zerolocus import (
     ZeroLocusPresentation,
     _sym_subcomplex,
     koszul_complex,
+    koszul_terms,
 )
 
 __all__ = [
@@ -198,22 +200,21 @@ class ExcessResult:
 
 def kclass_of_complex(c: Complex) -> KClass:
     """Alternating sum over the twists of each term."""
+    return _kclass_of_terms(c.terms)
+
+
+def _kclass_of_terms(terms: Mapping[int, GradedFreeModule]) -> KClass:
     coeffs: dict[int, int] = {}
-    for i in c.support:
+    for i, module in terms.items():
         sign = -1 if i % 2 else 1
-        for a in c.term(i).twists:
+        for a in module.twists:
             coeffs[a] = coeffs.get(a, 0) + sign
     return KClass(coeffs)
 
 
 def koszul_class(p: ZeroLocusPresentation) -> KClass:
-    """Class of the Koszul complex of p, read off its terms without building it.
-
-    The degree -n term of the Koszul complex is Lambda^n of all entries, so
-    its terms are those of the exterior algebra on the entries' twists.
-    """
-    bundle = GradedFreeModule(p.ring, p.all_degrees)
-    return kclass_of_complex(exterior_algebra(bundle, bundle.rank))
+    """Class of the Koszul complex of p, read off its terms without building it."""
+    return _kclass_of_terms(koszul_terms(p))
 
 
 def kclass_via_homology(c: Complex, cutoff: Optional[int] = None) -> KClass:
@@ -222,7 +223,7 @@ def kclass_via_homology(c: Complex, cutoff: Optional[int] = None) -> KClass:
 
     Exact for complexes with nonnegative twists once the cutoff reaches the
     largest twist; this is the truncation route and must agree with
-    kclass_of_complex.
+    kclass_of_complex.  A Koszul complex takes `_koszul_kclass_via_homology`.
     """
     twists = [a for i in c.support for a in c.term(i).twists]
     if not twists:
@@ -232,13 +233,23 @@ def kclass_via_homology(c: Complex, cutoff: Optional[int] = None) -> KClass:
     if cutoff is None:
         cutoff = max(twists)
     cutoff = max(cutoff, max(twists))
-    table = homology_dimensions(c, cutoff)
+    return _kclass_of_table(homology_dimensions(c, cutoff), c.ring)
+
+
+def _koszul_kclass_via_homology(p: ZeroLocusPresentation) -> KClass:
+    """kclass_via_homology(koszul_complex(p)), read off the Koszul table up to
+    the largest Koszul twist, the sum of the entries' degrees."""
+    return _kclass_of_table(koszul_table(p, sum(p.all_degrees)), p.ring)
+
+
+def _kclass_of_table(table: HilbertTable, ring: GradedRing) -> KClass:
+    """The alternating sum of the Hilbert series of the table's rows up to its
+    cutoff, times the ring's denominator product, truncated there."""
     total = KClass.zero()
     for i in table.cohomological_degrees():
-        series = KClass({d: table.dim(i, d) for d in range(cutoff + 1)})
+        series = KClass({d: table.dim(i, d) for d in range(table.cutoff + 1)})
         total = total + (series if i % 2 == 0 else -series)
-    denominator = lambda_minus_one(c.ring.degrees)
-    return (total * denominator).truncate(cutoff)
+    return (total * lambda_minus_one(ring.degrees)).truncate(table.cutoff)
 
 
 def lambda_minus_one(degrees: Sequence[int]) -> KClass:
@@ -254,9 +265,8 @@ def lambda_minus_one(degrees: Sequence[int]) -> KClass:
 
 def virtual_class(p: ZeroLocusPresentation) -> KClass:
     """Class of the Koszul complex, cross-checked through the homology route."""
-    kos = koszul_complex(p)
-    direct = kclass_of_complex(kos)
-    via_homology = kclass_via_homology(kos)
+    direct = koszul_class(p)
+    via_homology = _koszul_kclass_via_homology(p)
     if direct != via_homology:
         raise CrossCheckError(
             f"virtual class mismatch: direct {direct} vs homology {via_homology}")
@@ -374,10 +384,9 @@ def verify_excess(p: ZeroLocusPresentation, cutoff: int) -> ExcessResult:
     six entries on it raises WorkLimitError before any table is computed.
     """
     excess_certificate(len(p.all_entries))
-    kos = koszul_complex(p)
-    table = homology_dimensions(kos, cutoff)
+    table = koszul_table(p, cutoff)
     shifted: dict[tuple[int, int], int] = {}
-    for n, module in kos.terms.items():
+    for n, module in koszul_terms(p).items():
         for twist in module.twists:
             for (i, d), h in table.entries.items():
                 if d + twist <= cutoff:
@@ -397,11 +406,14 @@ def verify_sym_ga(p: ZeroLocusPresentation, cutoff: int,
     """
     if n_max is not None and n_max < 0:
         raise ValueError("n_max must be >= 0")
-    kos = koszul_complex(p)
     if n_max is None or n_max >= p.rank:
-        table = homology_dimensions(kos, cutoff)
+        table = koszul_table(p, cutoff)
         return DimComparison(True, None, table, table)
-    return same_homology_dims(_sym_subcomplex(p, kos, n_max), kos, cutoff)
+    kos = koszul_complex(p)
+    table_a = homology_dimensions(_sym_subcomplex(p, kos, n_max), cutoff)
+    table_b = koszul_table(p, cutoff, kos)
+    witness = compare_tables(table_a, table_b)
+    return DimComparison(witness is None, witness, table_a, table_b)
 
 
 def vpull(p: ZeroLocusPresentation, kappa: KClass) -> KClass:
@@ -418,8 +430,8 @@ def vpull_via_homology(p: ZeroLocusPresentation, representative: Complex) -> KCl
     """
     if representative.ring != p.ring:
         raise RingMismatch("representative over a different ring")
-    section_kos = koszul_complex(ZeroLocusPresentation(p.ring, (), p.section))
-    return kclass_of_complex(representative) * kclass_via_homology(section_kos)
+    section = ZeroLocusPresentation(p.ring, (), p.section)
+    return kclass_of_complex(representative) * _koszul_kclass_via_homology(section)
 
 
 def verify_strong_factorization(p: ZeroLocusPresentation) -> KVerdict:

@@ -2,8 +2,17 @@
 
 Homology dimensions are computed cell by cell: for each cohomological
 degree i and internal degree d, two ranks over Q determine
-dim H^i(C)_d = dim(C^i)_d - rank(d^i)_d - rank(d^{i-1})_d.  There is no
-global normal form; cells are independent and filled in a fixed order.
+dim H^i(C)_d = dim(C^i)_d - rank(d^i)_d - rank(d^{i-1})_d.  One helper
+assembles every table from its ranks, and checks each rank against the
+shape of its cell and each dimension for sign.
+
+The table of a Koszul complex K(f), f = (f_1..f_r), is read mostly off
+the ideal I = (f_1..f_r) (`koszul_table`).  A Groebner basis of I, certified
+exactly, gives the Hilbert function of R/I, hence rank(d^-1)_d =
+dim R_d - dim (R/I)_d, and the grade of I; depth sensitivity gives
+H^-i = 0 for i > r - grade, hence the ranks of d^-i for those i from the
+top down.  Only the cells d^-i with 2 <= i <= r - grade are left to the
+rank route below, and a regular sequence (grade r) leaves none.
 
 A rank cell below MODULAR_MIN_ENTRIES entries (rows x columns) is reduced
 exactly over Q.  A larger cell takes its rank mod a prime, which is a lower
@@ -21,11 +30,20 @@ regularity check is likewise only conclusive up to its cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
-from .complexes import Complex, WorkLimitError
-from .polyalg import RingMismatch, matrix_rank_in_degree, modular_rank, rational_rank
-from .zerolocus import ZeroLocusPresentation, koszul_complex
+from .complexes import Complex, ComplexInvariantError, WorkLimitError
+from .polyalg import (
+    GradedFreeModule,
+    GradedRing,
+    Polynomial,
+    RingMismatch,
+    graded_piece_dim,
+    matrix_rank_in_degree,
+    modular_rank,
+    rational_rank,
+)
+from .zerolocus import ZeroLocusPresentation, koszul_complex, koszul_terms
 
 __all__ = [
     "HilbertTable",
@@ -36,6 +54,7 @@ __all__ = [
     "DimComparison",
     "RegularityVerdict",
     "homology_dimensions",
+    "koszul_table",
     "same_homology_dims",
     "is_regular_up_to",
     "default_cutoff",
@@ -56,11 +75,9 @@ MAX_RANK_CELLS = 10000
 # the benchmark workloads; the zero section on Q[x, y] at cutoff 9999
 # (20000 cells) takes 0.3 s (Python 3.11, 2 cores)
 MAX_TABLE_CELLS = 20000
-# and its largest rank cell at most this many entries (rows x columns), an
-# 8 MB int64 array for the modular kernel.  The largest cells met are 420 x 420
-# in the tests, 286 x 495 in the benchmark workloads and 858 x 495 in the
-# ladder's Koszul table at cutoff 12; at cutoff 13 (1092 x 660) that table
-# takes 1.2 s (Python 3.11, 2 cores)
+# and its largest rank cell still to compute at most this many entries (rows x
+# columns), an 8 MB int64 array for the modular kernel.  The largest cell
+# computed in the tests is 420 x 420; the benchmark workloads compute none
 MAX_CELL_ENTRIES = 1000000
 
 
@@ -119,23 +136,58 @@ def default_cutoff(p: ZeroLocusPresentation) -> int:
     return 2 * sum(p.all_degrees)
 
 
-def _degree_window(c: Complex, cutoff: int) -> range:
-    """Internal degrees from min(0, lowest twist of c) up to the cutoff."""
-    lowest = min((a for m in c.terms.values() for a in m.twists), default=0)
+def _degree_window(terms: Mapping[int, GradedFreeModule], cutoff: int) -> range:
+    """Internal degrees from min(0, lowest twist of the terms) up to the cutoff."""
+    lowest = min((a for m in terms.values() for a in m.twists), default=0)
     return range(min(0, lowest), cutoff + 1)
 
 
-def _ranks(c: Complex, degrees: range) -> dict[tuple[int, int], int]:
+def _check_window(differentials: int, terms: int, degrees: range) -> None:
+    """Raise WorkLimitError when the table needs more than MAX_RANK_CELLS rank
+    cells or MAX_TABLE_CELLS table cells."""
+    # not len(degrees): a window of 2^63 degrees or more overflows it
+    window = degrees.stop - degrees.start
+    cells = differentials * window
+    if cells > MAX_RANK_CELLS:
+        raise WorkLimitError(f"the table needs {cells} rank cells, more than the limit "
+                             f"of {MAX_RANK_CELLS}; lower the cutoff")
+    cells = terms * window
+    if cells > MAX_TABLE_CELLS:
+        raise WorkLimitError(f"the table needs {cells} table cells, more than the limit "
+                             f"of {MAX_TABLE_CELLS}; lower the cutoff")
+
+
+def _term_dims(terms: Mapping[int, GradedFreeModule], degrees: range) -> dict[tuple[int, int], int]:
+    """dim C^i_d for every term and degree."""
+    return {(i, d): terms[i].graded_dim(d) for i in sorted(terms) for d in degrees}
+
+
+def _check_cells(dims: dict[tuple[int, int], int], cells) -> None:
+    """Raise WorkLimitError when a rank cell (i, d), the degree-d piece of
+    d^i: C^i -> C^{i+1}, has more than MAX_CELL_ENTRIES entries."""
+    rows, cols = max(((dims.get((i + 1, d), 0), dims.get((i, d), 0)) for i, d in cells),
+                     key=lambda shape: shape[0] * shape[1], default=(0, 0))
+    if rows * cols > MAX_CELL_ENTRIES:
+        raise WorkLimitError(f"the largest rank cell has {rows} x {cols} = {rows * cols} "
+                             f"entries, more than the limit of {MAX_CELL_ENTRIES}; "
+                             f"lower the cutoff")
+
+
+def _ranks(c: Complex, degrees: range,
+           known: Optional[dict[tuple[int, int], int]] = None) -> dict[tuple[int, int], int]:
     """Rank over Q of d^i in degree d for every differential and degree.
 
-    Small cells are exact; large ones are modular and kept where the
-    certificate of the module docstring holds, else reduced exactly from
-    the rows the modular rank was taken of.
+    Cells in known are taken as given, exact, and stand as neighbours in the
+    certificate.  Small cells are exact; large ones are modular and kept
+    where the certificate of the module docstring holds, else reduced
+    exactly from the rows the modular rank was taken of.
     """
-    ranks = {}
+    ranks = dict(known or {})
     modular = []
     for i, m in sorted(c.differentials.items()):
         for d in degrees:
+            if (i, d) in ranks:
+                continue
             if m.target.graded_dim(d) * m.source.graded_dim(d) < MODULAR_MIN_ENTRIES:
                 ranks[i, d] = matrix_rank_in_degree(m, d)
             else:
@@ -150,6 +202,29 @@ def _ranks(c: Complex, degrees: range) -> dict[tuple[int, int], int]:
     return ranks
 
 
+def _table(cutoff: int, dims: dict[tuple[int, int], int],
+           ranks: dict[tuple[int, int], int]) -> HilbertTable:
+    """dim H^i_d = dim C^i_d - rank(d^i)_d - rank(d^{i-1})_d from the term
+    dimensions and the ranks (absent ranks are 0).
+
+    Raises ComplexInvariantError when a rank is outside [0, min(rows, cols)]
+    of its cell or a dimension comes out negative: an engine fault.
+    """
+    for (i, d), rank in ranks.items():
+        most = min(dims.get((i + 1, d), 0), dims.get((i, d), 0))
+        if not 0 <= rank <= most:
+            raise ComplexInvariantError(f"rank {rank} of d^{i} in degree {d} is outside "
+                                        f"[0, {most}]")
+    entries = {}
+    for (i, d), n in dims.items():
+        h = n - ranks.get((i, d), 0) - ranks.get((i - 1, d), 0)
+        if h < 0:
+            raise ComplexInvariantError(f"dim H^{i} in degree {d} comes out as {h}")
+        if h:
+            entries[i, d] = h
+    return HilbertTable(cutoff, entries)
+
+
 def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
     """Exact homology dimensions for all internal degrees <= cutoff.
 
@@ -159,41 +234,110 @@ def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    support = c.support
-    if not support:
+    if not c.support:
         return HilbertTable(cutoff, {})
-    degrees = _degree_window(c, cutoff)
-    # not len(degrees): a window of 2^63 degrees or more overflows it
-    window = degrees.stop - degrees.start
-    cells = len(c.differentials) * window
-    if cells > MAX_RANK_CELLS:
-        raise WorkLimitError(f"the table needs {cells} rank cells, more than the limit "
-                             f"of {MAX_RANK_CELLS}; lower the cutoff")
-    cells = len(support) * window
-    if cells > MAX_TABLE_CELLS:
-        raise WorkLimitError(f"the table needs {cells} table cells, more than the limit "
-                             f"of {MAX_TABLE_CELLS}; lower the cutoff")
-    rows, cols = max(((c.term(i + 1).graded_dim(d), c.term(i).graded_dim(d))
-                      for i in c.differentials for d in degrees),
-                     key=lambda shape: shape[0] * shape[1], default=(0, 0))
-    if rows * cols > MAX_CELL_ENTRIES:
-        raise WorkLimitError(f"the largest rank cell has {rows} x {cols} = {rows * cols} "
-                             f"entries, more than the limit of {MAX_CELL_ENTRIES}; "
-                             f"lower the cutoff")
-    ranks = _ranks(c, degrees)
+    degrees = _degree_window(c.terms, cutoff)
+    _check_window(len(c.differentials), len(c.terms), degrees)
+    dims = _term_dims(c.terms, degrees)
+    _check_cells(dims, [(i, d) for i in c.differentials for d in degrees])
+    return _table(cutoff, dims, _ranks(c, degrees))
 
-    entries = {}
-    for i in support:
+
+def _certify(basis: list[Polynomial], entries: list[Polynomial], max_degree: int) -> None:
+    """Raise ComplexInvariantError unless basis is a Groebner basis of the
+    entries' ideal in degrees up to max_degree."""
+    from . import groebner
+
+    failure = groebner.groebner_failure(basis, entries, max_degree)
+    if failure:
+        raise ComplexInvariantError(f"the Groebner basis of the entries is not certified: "
+                                    f"{failure}")
+
+
+def _hilbert_and_grade(ring: GradedRing, entries: list[Polynomial],
+                       max_degree: int) -> Optional[tuple[dict[int, int], int]]:
+    """(K, g) for I the ideal of the nonzero homogeneous entries, read off a
+    Groebner basis of I up to max_degree, certified: the ideal J of its
+    leading monomials equals in(I) up to max_degree, so
+    sum_d dim (R/J)_d t^d = K(t) / prod (1 - t^deg x_i) is the Hilbert
+    series of R/I up to t^max_degree (R/I and R/in(I) have one Hilbert
+    function), and g = height J <= height in(I) = grade I, with equality
+    when the basis is complete.  None past the Groebner work limits.  The
+    groebner module is imported here, so importing the package does not
+    load it."""
+    from . import groebner
+
+    basis = groebner.groebner_basis(entries, max_degree)
+    if basis is None:
+        return None
+    _certify(basis, entries, max_degree)
+    lead = [groebner.leading_monomial(g) for g in basis]
+    return groebner.hilbert_numerator(ring, lead), groebner.monomial_height(lead)
+
+
+def koszul_table(p: ZeroLocusPresentation, cutoff: int,
+                 kos: Optional[Complex] = None) -> HilbertTable:
+    """homology_dimensions(koszul_complex(p), cutoff), mostly without rank cells.
+
+    With r entries f and I = (f), the ranks come from two exact facts:
+    - rank(d^-1)_d = dim I_d = dim R_d - HF(R/in(I))_d, for in(I) the ideal
+      of the leading monomials of a Groebner basis of I (Cox, Little and
+      O'Shea, Ideals, Varieties, and Algorithms, ch. 2 and ch. 9 sec. 3),
+      with HF from the Hilbert-series numerator of in(I);
+    - H^-i(K(f)) = 0 for i > r - grade I, by depth sensitivity of the
+      Koszul complex (Bruns and Herzog, Cohen-Macaulay Rings, Thm 1.6.17),
+      so rank(d^-i)_d = dim C^-i_d - rank(d^-(i+1))_d from the top down.
+      R is Cohen-Macaulay, so grade I is its height, n - dim R/in(I).
+    The basis is computed and certified up to the cutoff only
+    (`_hilbert_and_grade`): that gives HF exactly there, and a lower bound
+    g on the grade, which depth sensitivity accepts in its place (exact
+    when the basis is complete).  A failed certificate, or two values of
+    rank(d^-1) at g = r that disagree, raise ComplexInvariantError.  The
+    cells d^-i with 2 <= i <= r - g go through the rank route, with the
+    ranks above as exact neighbours; only they need the Koszul complex,
+    kos when given (it must be koszul_complex(p)), else built.  Past the
+    Groebner work limits of `groebner.groebner_basis` the whole table takes
+    the rank route.  The window limits apply first, as in
+    homology_dimensions, and MAX_CELL_ENTRIES only to the cells still
+    computed.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    terms = koszul_terms(p)
+    entries = [f for f, _ in p.all_entries if not f.is_zero()]
+    r = len(p.all_entries)
+    degrees = _degree_window(terms, cutoff)
+    _check_window(r if entries else 0, len(terms), degrees)
+    ideal = _hilbert_and_grade(p.ring, entries, cutoff)
+    if ideal is None:
+        return homology_dimensions(koszul_complex(p) if kos is None else kos, cutoff)
+    numerator, grade = ideal
+    dims = _term_dims(terms, degrees)
+    ranks = {}
+    for d in degrees:
+        if not r:
+            break
+        ranks[-1, d] = dims[0, d] - sum(c * graded_piece_dim(p.ring, d - k)
+                                        for k, c in numerator.items())
+        below = 0
+        for i in range(r, r - grade, -1):
+            rank = dims[-i, d] - below
+            if i == 1 and rank != ranks[-1, d]:
+                raise ComplexInvariantError(
+                    f"rank {ranks[-1, d]} of d^-1 in degree {d} from the Hilbert function "
+                    f"but {rank} by depth sensitivity")
+            ranks[-i, d] = below = rank
+    cells = []
+    for i in range(-(r - grade), -1):
         for d in degrees:
-            dim_term = c.term(i).graded_dim(d)
-            if dim_term == 0:
-                continue
-            out_rank = ranks.get((i, d), 0)
-            in_rank = ranks.get((i - 1, d), 0)
-            h = dim_term - out_rank - in_rank
-            if h:
-                entries[(i, d)] = h
-    return HilbertTable(cutoff, entries)
+            if entries and dims[i, d] and dims[i + 1, d]:
+                cells.append((i, d))
+            else:
+                ranks[i, d] = 0
+    if cells:
+        _check_cells(dims, cells)
+        ranks = _ranks(koszul_complex(p) if kos is None else kos, degrees, ranks)
+    return _table(cutoff, dims, ranks)
 
 
 def compare_tables(a: HilbertTable, b: HilbertTable) -> Optional[tuple[int, int, int, int]]:
@@ -218,7 +362,7 @@ def same_homology_dims(a: Complex, b: Complex, cutoff: int) -> DimComparison:
 
 def is_regular_up_to(p: ZeroLocusPresentation, cutoff: int) -> RegularityVerdict:
     """Koszul criterion up to a cutoff: negative homology witnesses non-regularity."""
-    table = homology_dimensions(koszul_complex(p), cutoff)
+    table = koszul_table(p, cutoff)
     for i, d, n in table.rows():
         if i < 0:
             return RegularityVerdict(False, cutoff, (i, d, n))
@@ -228,7 +372,7 @@ def is_regular_up_to(p: ZeroLocusPresentation, cutoff: int) -> RegularityVerdict
 def euler_characteristics_match(c: Complex, cutoff: int) -> bool:
     """Degreewise Euler characteristic of homology equals that of the terms."""
     table = homology_dimensions(c, cutoff)
-    for d in _degree_window(c, cutoff):
+    for d in _degree_window(c.terms, cutoff):
         chi_terms = sum((-1) ** (i % 2) * c.term(i).graded_dim(d) for i in c.support)
         chi_homology = sum((-1) ** (i % 2) * table.dim(i, d) for i in table.cohomological_degrees())
         if chi_terms != chi_homology:

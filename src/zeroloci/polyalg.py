@@ -51,6 +51,12 @@ _MAX_EXPONENT = 1000
 # counts a * b).  Reaching it takes about 0.15 s (Python 3.11, 2 cores); the
 # largest count met in the tests and the benchmark workloads is 31
 _MAX_TERM_PRODUCTS = 10000
+# and no product may have a coefficient of more than this many bits (numerator
+# plus denominator), bounded before the product is formed by the sum of the
+# factors' largest.  A product at the limit takes microseconds; the largest
+# factor met in the tests has 32 bits (2147483630), in the benchmark
+# workloads 3
+_MAX_COEFFICIENT_BITS = 10000
 # the prime of `modular_rank`: below 2^31, so a product of two residues fits int64
 MODULUS = 2147483629
 
@@ -386,11 +392,16 @@ class _Parser:
         raise ParseError(f"expected {symbol!r}", pos)
 
     def multiply(self, a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
-        """a * b, counted against _MAX_TERM_PRODUCTS before it is formed."""
+        """a * b, counted against _MAX_TERM_PRODUCTS and _MAX_COEFFICIENT_BITS
+        before it is formed."""
         self.products += len(a.terms) * len(b.terms)
         if self.products > _MAX_TERM_PRODUCTS:
             raise ParseError(f"the expression needs at least {self.products} term products, "
                              f"more than the limit of {_MAX_TERM_PRODUCTS}", pos)
+        bits = _coefficient_bits(a) + _coefficient_bits(b)
+        if bits > _MAX_COEFFICIENT_BITS:
+            raise ParseError(f"the expression needs a coefficient of up to {bits} bits, "
+                             f"more than the limit of {_MAX_COEFFICIENT_BITS}", pos)
         return a * b
 
     def parse_expr(self) -> Polynomial:
@@ -474,6 +485,18 @@ class _Parser:
         raise ParseError("expected a number, variable or parenthesis", pos)
 
 
+def _coefficient_bits(p: Polynomial) -> int:
+    """The most bits of a coefficient of p, numerator plus denominator."""
+    # a plain loop: parsing calls this twice per product, and a generator
+    # under max() took twice as long
+    bits = 0
+    for c in p.terms.values():
+        n = c.numerator.bit_length() + c.denominator.bit_length()
+        if n > bits:
+            bits = n
+    return bits
+
+
 def parse_poly(text: str, ring: GradedRing) -> Polynomial:
     """Parse a polynomial expression; print/parse round-trips exactly."""
     parser = _Parser(_tokenize(text), ring)
@@ -528,20 +551,25 @@ class PolyMatrix:
 
     def __init__(self, source: GradedFreeModule, target: GradedFreeModule,
                  entries: Sequence[Sequence[Polynomial]]):
-        if source.ring != target.ring:
+        ring = source.ring
+        if target.ring is not ring and target.ring != ring:
             raise RingMismatch("matrix endpoints over different rings")
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
             raise ValueError(
                 f"entry shape {len(rows)}x{len(rows[0]) if rows else 0} does not match "
                 f"target rank {target.rank} x source rank {source.rank}")
+        constant = (0,) * ring.nvars
         for i, row in enumerate(rows):
             for j, p in enumerate(row):
-                if p.ring != source.ring:
+                # identity first: the dataclass == compares both rings field by field
+                if p.ring is not ring and p.ring != ring:
                     raise RingMismatch("matrix entry over a different ring")
                 if p.is_zero():
                     continue
                 want = source.twists[j] - target.twists[i]
+                if want == 0 and len(p.terms) == 1 and constant in p.terms:
+                    continue
                 if p.homogeneous_degree() != want:
                     raise HomogeneityError(
                         f"entry ({i},{j}) = {p} must be homogeneous of degree {want}")

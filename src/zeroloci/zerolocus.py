@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import Complex, sym_two_term, tensor
+from .complexes import Complex, exterior_algebra, sym_two_term, tensor
 from .polyalg import GradedFreeModule, GradedRing, Polynomial, PolyMatrix, RingMismatch
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "JacobianData",
     "SymInvariantsResult",
     "koszul_complex",
+    "koszul_terms",
     "sym_cofib_invariants",
     "critical_locus",
     "cotangent_complex",
@@ -125,6 +126,15 @@ def koszul_complex(p: ZeroLocusPresentation) -> Complex:
     Up to three entries this equals the tensor of their two-term complexes.
     """
     return sym_two_term(_cosection(p.ring, p.all_entries), len(p.all_entries))
+
+
+def koszul_terms(p: ZeroLocusPresentation) -> dict[int, GradedFreeModule]:
+    """The terms of koszul_complex(p), in its layout, without building a differential.
+
+    The degree -n term is Lambda^n of all entries: the n-subset sums of their
+    twists, the exterior algebra on the entries' twists.
+    """
+    return exterior_algebra(GradedFreeModule(p.ring, p.all_degrees), len(p.all_entries)).terms
 
 
 def sym_cofib_invariants(p: ZeroLocusPresentation, n_max: int) -> SymInvariantsResult:

@@ -5,17 +5,18 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import zeroloci
-from zeroloci import cli, gtheory
+from zeroloci import cli, groebner, gtheory
 from zeroloci.cli import ProblemFileError, main, parse_problem_file, run
 from zeroloci.complexes import MAX_GENERATORS, ComplexInvariantError
 from zeroloci.gtheory import CrossCheckError, KClass, excess_certificate
 from zeroloci.homology import MAX_CELL_ENTRIES, MAX_RANK_CELLS, MAX_TABLE_CELLS
-from zeroloci.polyalg import _MAX_TERM_PRODUCTS, PolyMatrix
+from zeroloci.polyalg import _MAX_COEFFICIENT_BITS, _MAX_TERM_PRODUCTS, PolyMatrix
 
 DIVISOR = """\
 [ring]
@@ -261,12 +262,22 @@ def test_class_identities_leave_numpy_unloaded(tmp_path):
 
 @pytest.mark.parametrize("fault", [CrossCheckError, ComplexInvariantError, KeyError])
 def test_main_engine_fault_exit_three(tmp_path, capsys, monkeypatch, fault):
-    def broken(p):
+    def broken(p, cutoff):
         raise fault("injected")
 
-    monkeypatch.setattr(cli, "koszul_complex", broken)
+    monkeypatch.setattr(cli, "koszul_table", broken)
     assert main([write(tmp_path, NON_REGULAR.format(kind="homology"))]) == 3
     assert "engine fault: injected" in capsys.readouterr().err
+
+
+def test_main_uncertified_groebner_basis_exit_three(tmp_path, capsys, monkeypatch):
+    # a basis short of its last element fails its certificate: an engine fault
+    original = groebner.groebner_basis
+    monkeypatch.setattr(groebner, "groebner_basis", lambda polys, top: original(polys, top)[:-1])
+    assert main([write(tmp_path, NON_REGULAR.format(kind="homology"))]) == 3
+    captured = capsys.readouterr()
+    assert "engine fault: the Groebner basis of the entries is not certified" in captured.err
+    assert captured.out == ""
 
 
 def test_main_vpull_route_mismatch_exit_three(tmp_path, capsys, monkeypatch):
@@ -278,6 +289,8 @@ def test_main_vpull_route_mismatch_exit_three(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+TEN_VARIABLES = ("[ring]\nvariables = a, b, c, d, e, f, g, h, i, j\n"
+                 "degrees = 1, 1, 1, 1, 1, 1, 1, 1, 1, 1\n")
 HOSTILE_SIZES = {
     # 12 entries: a Koszul complex of 4096 generators
     "generators": ("[ring]\nvariables = x\ndegrees = 1\n[section]\nentries = "
@@ -286,10 +299,11 @@ HOSTILE_SIZES = {
     # one generator per unit of the input class
     "kappa": (NON_REGULAR.format(kind="vpull") + "kappa = 100000000\n",
               f"100000000 generators, more than the limit of {MAX_GENERATORS}"),
-    # ten variables at cutoff 10: graded pieces of 92378 and 48620 monomials
-    "cell": ("[ring]\nvariables = a, b, c, d, e, f, g, h, i, j\ndegrees = 1, 1, 1, 1, 1, 1, 1, "
-             "1, 1, 1\n[section]\nentries = a : 1\n[task]\nkind = homology\ncutoff = 10\n",
-             f"92378 x 48620 = 4491418360 entries, more than the limit of {MAX_CELL_ENTRIES}"),
+    # ten variables at cutoff 10, an ideal of grade 1 in three entries: the d^-2 cell
+    # in degree 10 maps 3 pieces of 5005 monomials to 3 pieces of 24310
+    "cell": (TEN_VARIABLES + "[section]\nentries = a*b : 2, a*c : 2, a*d : 2\n"
+             "[task]\nkind = homology\ncutoff = 10\n",
+             f"72930 x 15015 = 1095043950 entries, more than the limit of {MAX_CELL_ENTRIES}"),
     # the zero section has no differential, hence no rank cell: two terms over 200001 degrees
     "window": ("[ring]\nvariables = x, y\ndegrees = 1, 1\n[section]\nentries = 0 : 1\n"
                "[task]\nkind = homology\ncutoff = 200000\n",
@@ -308,6 +322,12 @@ for name, power in (("four", "(x + y + z + w)^1000"), ("two", "(x + y)^1000")):
         "[ring]\nvariables = x, y, z, w\ndegrees = 1, 1, 1, 1\n[section]\n"
         f"entries = {power} : 1000\n[task]\nkind = homology\n",
         f"term products, more than the limit of {_MAX_TERM_PRODUCTS}")
+# a power of a power of a large number: one term, but a coefficient of 10^9 bits
+for outer in (1000, 10):
+    HOSTILE_SIZES[f"coefficient-bits-{outer}"] = (
+        "[ring]\nvariables = x\ndegrees = 1\n[section]\n"
+        f"entries = ((2^1000)^1000)^{outer}*x : 1\n[task]\nkind = homology\ncutoff = 2\n",
+        f"bits, more than the limit of {_MAX_COEFFICIENT_BITS}")
 # windows of 2^63 degrees or more, past what len() of a range can count
 HUGE = 10**20
 for kind in ("homology", "verify-excess", "verify-sym-ga"):
@@ -335,6 +355,17 @@ def test_main_huge_cutoff_option_exit_two(tmp_path, capsys, kind):
     path = write(tmp_path, DIVISOR.replace("verify-excess", kind))
     assert main([path, "--cutoff", str(HUGE)]) == 2
     assert f"{HUGE + 1} rank cells" in capsys.readouterr().err
+
+
+def test_main_regular_ten_variables_needs_no_rank_cell(tmp_path):
+    # a : 1 over ten variables is regular, so its table is the complete-intersection
+    # series in H^0 alone, read off a Groebner basis with no rank cell
+    text = TEN_VARIABLES + "[section]\nentries = a : 1\n[task]\nkind = homology\ncutoff = 10\n"
+    started = time.perf_counter()
+    code, report = run(write(tmp_path, text))
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert report.tables["koszul"].entries == {(0, d): comb(d + 8, 8) for d in range(11)}
 
 
 def test_main_long_window_is_linear(tmp_path, capsys):

@@ -395,7 +395,8 @@ def test_sym_ga_equal_complexes_share_one_table():
         assert cmp.table_a.entries
 
 
-def test_sym_ga_untruncated_builds_one_complex_and_one_table(monkeypatch):
+def _count_koszul_builds_and_tables(monkeypatch) -> dict[str, int]:
+    """Count Koszul complexes built and tables computed, Koszul tables included."""
     calls = {"koszul": 0, "table": 0}
 
     def counted(name, original):
@@ -404,29 +405,30 @@ def test_sym_ga_untruncated_builds_one_complex_and_one_table(monkeypatch):
             return original(*args)
         return wrapper
 
-    for module in (zerolocus, gtheory):
+    for module in (zerolocus, gtheory, homology):
         monkeypatch.setattr(module, "koszul_complex", counted("koszul", module.koszul_complex))
-    monkeypatch.setattr(gtheory, "homology_dimensions",
-                        counted("table", gtheory.homology_dimensions))
+    for name in ("homology_dimensions", "koszul_table"):
+        monkeypatch.setattr(gtheory, name, counted("table", getattr(gtheory, name)))
+    return calls
+
+
+def test_sym_ga_untruncated_builds_one_complex_and_one_table(monkeypatch):
+    # grade 2 with 4 entries: the d^-2 cells of the Koszul table need the complex
+    calls = _count_koszul_builds_and_tables(monkeypatch)
     p = pres(RING_XY, [("x*y", 2)], ambient=[("x", 1), ("y", 1), ("x + y", 1)])
     assert verify_sym_ga(p, 6).passed
     assert calls == {"koszul": 1, "table": 1}
 
 
+def test_sym_ga_untruncated_regular_builds_no_complex(monkeypatch):
+    # a regular sequence: the Koszul table needs no rank cell, so no complex
+    calls = _count_koszul_builds_and_tables(monkeypatch)
+    assert verify_sym_ga(pres(RING_XY, [("y", 1)], ambient=[("x", 1)]), 6).passed
+    assert calls == {"koszul": 0, "table": 1}
+
+
 def test_sym_ga_truncated_builds_one_complex_and_two_tables(monkeypatch):
-    calls = {"koszul": 0, "table": 0}
-
-    def counted(name, original):
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        return wrapper
-
-    for module in (zerolocus, gtheory):
-        monkeypatch.setattr(module, "koszul_complex", counted("koszul", module.koszul_complex))
-    for module in (gtheory, homology):
-        monkeypatch.setattr(module, "homology_dimensions",
-                            counted("table", module.homology_dimensions))
+    calls = _count_koszul_builds_and_tables(monkeypatch)
     p = pres(RING_XY, [("x*y", 2), ("y^2", 2)], ambient=[("x", 1), ("y", 1), ("x + y", 1)])
     assert not verify_sym_ga(p, 6, n_max=1).passed
     assert calls == {"koszul": 1, "table": 2}

@@ -1,21 +1,42 @@
 """Hilbert tables, dimension comparisons and the regularity check."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zeroloci import homology
-from zeroloci.complexes import cone, dual, identity_chain_map, tensor, zero_complex
+import zeroloci
+from zeroloci import groebner, homology
+from zeroloci.complexes import ComplexInvariantError, cone, dual, identity_chain_map, tensor, zero_complex
 from zeroloci.homology import (
+    default_cutoff,
     euler_characteristics_match,
     homology_dimensions,
     is_regular_up_to,
+    koszul_table,
     same_homology_dims,
 )
-from zeroloci.polyalg import PolyMatrix, graded_piece_basis, rational_rank
+from zeroloci.groebner import groebner_basis, hilbert_numerator
+from zeroloci.polyalg import GradedRing, PolyMatrix, graded_piece_basis, parse_poly, rational_rank
 from zeroloci.zerolocus import ZeroLocusPresentation, koszul_complex
 
-from conftest import RING_X, RING_XY, RING_XYZ, build_corpus, echelon_rank
+from conftest import (
+    ENTRY_DRAWS,
+    RING_UV,
+    RING_X,
+    RING_XY,
+    RING_XYZ,
+    build_corpus,
+    derived_ambient_corpus,
+    drawn_entries,
+    echelon_rank,
+)
 from test_zerolocus import pres
 
 
@@ -200,3 +221,154 @@ def test_underestimated_modular_rank_never_certifies(monkeypatch):
 
     monkeypatch.setattr(homology, "modular_rank", low)
     assert _certificate_tables(monkeypatch, 0) == exact
+
+
+# -- Koszul tables from a certified Groebner basis -----------------------------------------
+
+
+def _oracle(p, cutoff):
+    return homology_dimensions(koszul_complex(p), cutoff)
+
+
+def test_koszul_table_matches_rank_route_on_corpus():
+    for p in build_corpus() + derived_ambient_corpus():
+        cutoff = default_cutoff(p)
+        assert koszul_table(p, cutoff) == _oracle(p, cutoff), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(ENTRY_DRAWS, max_size=1), st.lists(ENTRY_DRAWS, max_size=3),
+       st.sampled_from([RING_XY, RING_XYZ, RING_UV]))
+def test_koszul_table_matches_rank_route_on_random_entries(ambient, section, ring):
+    p = ZeroLocusPresentation(ring, drawn_entries(ring, ambient), drawn_entries(ring, section))
+    assert koszul_table(p, 6) == _oracle(p, 6)
+
+
+def _grade(ring, texts):
+    entries = [parse_poly(t, ring) for t in texts]
+    return homology._hilbert_and_grade(ring, [f for f in entries if not f.is_zero()], 10)[1]
+
+
+RING_X0_L = GradedRing(("x0", "x1", "x2", "x3", "x4"), (1,) * 5)
+
+
+@pytest.mark.parametrize("ring, texts, grade", [
+    (RING_XYZ, ["x", "y", "z"], 3),
+    (RING_X0_L, ["x0*(x1 + 2*x2 - x3)", "x0*(3*x1 - x4 + x2)"], 1),
+    (RING_XYZ, ["0", "0"], 0),
+    (RING_XYZ, ["x", "x"], 1),
+])
+def test_grade_from_the_leading_monomials(ring, texts, grade):
+    assert _grade(ring, texts) == grade
+
+
+def test_basis_truncated_at_the_cutoff_bounds_the_grade_from_below():
+    # (x*y + z^2, x^2) is regular, but z^4 enters in(I) only in degree 4: up to
+    # degree 3 the leading monomials x*y, x^2, x*z^2 have height 1
+    entries = [parse_poly(t, RING_XYZ) for t in ("x*y + z^2", "x^2")]
+    assert [homology._hilbert_and_grade(RING_XYZ, entries, c)[1] for c in (3, 4)] == [1, 2]
+    p = pres(RING_XYZ, [("x*y + z^2", 2), ("x^2", 2)])
+    for cutoff in (3, 4):
+        assert koszul_table(p, cutoff) == _oracle(p, cutoff)
+
+
+def test_low_grade_table_takes_known_ranks_into_the_rank_route(monkeypatch):
+    # x0 * l_k for three linear forms on five variables: grade 1, so d^-2 is the
+    # one differential left to the rank route; d^-1 and d^-3 come in known
+    forms = ["x1 + 2*x2 - x3", "3*x1 - x4 + x2", "x2 + x3 + x4"]
+    p = ZeroLocusPresentation(RING_X0_L, (), tuple(
+        (parse_poly(f"x0*({l})", RING_X0_L), 2) for l in forms))
+    cutoff = 7
+    expected = _oracle(p, cutoff)
+    calls = []
+    ranks = homology._ranks
+    monkeypatch.setattr(homology, "_ranks",
+                        lambda c, degrees, known=None: calls.append(dict(known)) or
+                        ranks(c, degrees, known))
+    table = koszul_table(p, cutoff)
+    [known] = calls
+    assert {i for i, _ in known} == {-1, -2, -3}
+    assert all(known[-2, d] == 0 for d in range(4))   # C^-2 starts in degree 4
+    assert (-2, 4) not in known
+    assert table == expected
+    assert {i for i, _ in table.entries} == {-2, -1, 0}
+    # the modular route certifies with the known ranks as neighbours
+    monkeypatch.setattr(homology, "MODULAR_MIN_ENTRIES", 0)
+    assert koszul_table(p, cutoff) == table
+
+
+@pytest.mark.parametrize("section, message", [
+    # grade 1 read as 2: depth sensitivity and the Hilbert function disagree on d^-1
+    ([("x", 1), ("x", 1)], "by depth sensitivity"),
+    # grade 1 read as 2 with three entries: d^-2 comes out too large for H^-1
+    ([("x", 1), ("x", 1), ("x", 1)], "in degree 2 comes out as -1"),
+])
+def test_overstated_grade_is_an_engine_fault(monkeypatch, section, message):
+    height = groebner.monomial_height
+    monkeypatch.setattr(groebner, "monomial_height", lambda gens: height(gens) + 1)
+    with pytest.raises(ComplexInvariantError, match=message):
+        koszul_table(pres(RING_X, section), 6)
+
+
+def test_table_refuses_a_rank_larger_than_its_cell():
+    # d^-1: C^-1 -> C^0 in degree 0, where C^-1 is 0: no rank above 0 fits
+    with pytest.raises(ComplexInvariantError, match="outside"):
+        homology._table(0, {(0, 0): 1, (-1, 0): 0}, {(-1, 0): 1})
+
+
+def test_groebner_certificate_refuses_a_basis_short_of_one_element():
+    # the last element comes from the S-pair of the two quadrics, in degree 3;
+    # the certificate checks pairs and inputs up to and including its degree
+    entries = [parse_poly(t, RING_XYZ) for t in ("x^2 - y*z", "x*y - z^2")]
+    basis = groebner_basis(entries)
+    assert [g.homogeneous_degree() for g in basis] == [2, 2, 3]
+    homology._certify(basis, entries, 10)
+    with pytest.raises(ComplexInvariantError, match="S-pair"):
+        homology._certify(basis[:-1], entries, 3)
+    homology._certify(basis[:-1], entries, 2)
+    with pytest.raises(ComplexInvariantError, match="input 1"):
+        homology._certify(basis[:1], entries, 2)
+
+
+@pytest.mark.parametrize("limit", ["MAX_GROEBNER_PAIRS", "MAX_GROEBNER_BASIS",
+                                   "MAX_GROEBNER_BITS"])
+def test_groebner_work_limit_falls_back_to_the_rank_route(monkeypatch, limit):
+    p = pres(RING_XY, [("x*y", 2), ("x^2 + 3*y^2", 2), ("x^2 - 5*x*y", 2)])
+    expected = _oracle(p, 8)
+    monkeypatch.setattr(groebner, limit, 1)
+    assert groebner_basis([f for f, _ in p.section]) is None
+    fallback = []
+    monkeypatch.setattr(homology, "homology_dimensions",
+                        lambda c, cutoff: fallback.append(c) or homology_dimensions(c, cutoff))
+    assert koszul_table(p, 8) == expected
+    assert len(fallback) == 1
+
+
+def test_hilbert_numerator_of_monomial_ideals():
+    # (x^2, x*y): 1 - 2t^2 + t^3; (x*y, y*z): 1 - 2t^2 + t^3; (x, y^2) coprime
+    assert hilbert_numerator(RING_XYZ, [(2, 0, 0), (1, 1, 0)]) == {0: 1, 2: -2, 3: 1}
+    assert hilbert_numerator(RING_XYZ, [(1, 1, 0), (0, 1, 1)]) == {0: 1, 2: -2, 3: 1}
+    assert hilbert_numerator(RING_XYZ, [(1, 0, 0), (0, 2, 0)]) == {0: 1, 1: -1, 2: -1, 3: 1}
+    assert hilbert_numerator(RING_XYZ, [(0, 0, 0)]) == {}
+    assert hilbert_numerator(RING_XYZ, []) == {0: 1}
+
+
+def test_regular_table_leaves_numpy_unloaded(tmp_path):
+    # the 4-variable, 3-quadric Koszul table at cutoff 12 has cells far above
+    # MODULAR_MIN_ENTRIES, but a regular sequence needs none of them
+    path = tmp_path / "ladder.zlp"
+    path.write_text("[ring]\nvariables = a, b, c, d\ndegrees = 1, 1, 1, 1\n[section]\n"
+                    "entries = a^2 - b*c + 3*d^2 : 2, a*b + 2*c^2 - d^2 : 2, "
+                    "b^2 - a*d + c*d : 2\n[task]\nkind = homology\ncutoff = 12\n")
+    script = ("import sys\n"
+              "from zeroloci.cli import main\n"
+              "code = main([sys.argv[1], '--json'])\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(zeroloci.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report, last = done.stdout.splitlines()[-2:]
+    assert last == "0 False"
+    rows = json.loads(report)["tables"]["koszul"]["entries"]
+    assert {i for i, _, _ in rows} == {0}

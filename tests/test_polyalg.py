@@ -12,9 +12,11 @@ from zeroloci.polyalg import (
     MODULUS,
     GradedFreeModule,
     GradedRing,
+    HomogeneityError,
     ParseError,
     PolyMatrix,
     Polynomial,
+    RingMismatch,
     graded_piece_basis,
     graded_piece_dim,
     matrix_rank_in_degree,
@@ -270,6 +272,25 @@ def test_matrix_homogeneity_enforced():
     x = RING_X.variable("x")
     with pytest.raises(ValueError):
         PolyMatrix(GradedFreeModule(RING_X, (2,)), GradedFreeModule(RING_X, (0,)), [[x]])
+
+
+def test_matrix_entry_checks_keep_their_semantics():
+    # constants pass only where the wanted degree is 0; an equal ring built
+    # separately is the same ring, a different one is refused
+    one, x = RING_X.one(), RING_X.variable("x")
+    flat, twisted = GradedFreeModule(RING_X, (0,)), GradedFreeModule(RING_X, (1,))
+    assert PolyMatrix(flat, flat, [[one * 3]]).entries == ((one * 3,),)
+    with pytest.raises(HomogeneityError):
+        PolyMatrix(twisted, flat, [[one]])
+    with pytest.raises(HomogeneityError):
+        PolyMatrix(flat, flat, [[x + one]])
+    same = GradedRing(("x",), (1,))
+    assert same is not RING_X
+    PolyMatrix(GradedFreeModule(same, (1,)), flat, [[x]])
+    with pytest.raises(RingMismatch):
+        PolyMatrix(twisted, flat, [[GradedRing(("y",), (1,)).variable("y")]])
+    with pytest.raises(RingMismatch):
+        PolyMatrix(GradedFreeModule(RING_XY, (0,)), flat, [[RING_XY.one()]])
 
 
 def test_partial_derivative():
