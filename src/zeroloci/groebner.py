@@ -1,10 +1,10 @@
 """Groebner bases of homogeneous ideals over Q, and Hilbert series of monomial ideals.
 
 `groebner_basis` is homogeneous Buchberger in weighted grevlex, with normal
-selection and the product criterion, bounded by named work limits and
-optionally truncated above a degree; `groebner_failure` certifies a basis
-exactly, up to that degree (Buchberger's criterion on every S-pair, and
-membership of every input).  `hilbert_numerator` and
+selection and the product criterion, truncated above a degree;
+`groebner_failure` certifies a basis exactly up to that degree (Buchberger's
+criterion on every S-pair, and membership of every input).  Both raise
+`GroebnerWorkLimit` past named work limits.  `hilbert_numerator` and
 `monomial_height` read the Hilbert series and the height of the ideal of
 the leading monomials without enumerating monomials.  `homology` imports
 this module inside the Koszul table, so importing the package does not
@@ -17,11 +17,13 @@ import heapq
 from fractions import Fraction
 from math import gcd
 from operator import add
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .polyalg import GradedRing, Polynomial
 
 __all__ = [
+    "GroebnerWorkLimit",
+    "MAX_GROEBNER_STEPS",
     "MAX_GROEBNER_PAIRS",
     "MAX_GROEBNER_BASIS",
     "MAX_GROEBNER_BITS",
@@ -32,18 +34,37 @@ __all__ = [
     "monomial_height",
 ]
 
-# Buchberger's algorithm stops and returns None past any of these: S-pairs
-# reduced, basis elements, bits of a coefficient of a (primitive, integer)
-# basis element.  Sized for a basis and its certificate in a few seconds at
-# most (Python 3.11, 2 cores): complete bases of random quadrics take 41
-# pairs, 12 elements and 133-157 bits on 5-7 variables with 4 entries
-# (0.2-2.6 s), 122 pairs, 20 elements and 514 bits on 6 variables with 5
-# (2.8 s); 6 variables with 6 quadrics (497 pairs, 39 elements, 1029 bits,
-# 7.4 s) falls back.  The most met are 13 pairs, 8 elements and 25 bits in
-# the tests, 9, 6 and 11 in the benchmark workloads
+# A basis and its certificate each raise GroebnerWorkLimit past any of these:
+# term updates in its reductions, S-pairs reduced, basis elements, bits of a
+# coefficient of a (primitive, integer) basis element.  A term update takes
+# 2-3 us (Python 3.11, 2 cores): 50,000 of them took 0.10-0.17 s on dense
+# random quadrics in 5-10 variables, so a basis and its certificate stop
+# within about 0.35 s on any input, and the table falls back to the rank
+# route.  The other three limits bound the S-pair queue, the Hilbert-series
+# recursion and the cost of one update; 6 dense quadrics in 6 variables stop
+# at 600 bits in 0.10 s.  The most met are a few hundred term updates (285
+# on one run of the hypothesis draws), 13 pairs, 8 elements and 25 bits in
+# the tests, and 1,653 updates, 9, 6 and 11 in the benchmark workloads
+MAX_GROEBNER_STEPS = 50000
 MAX_GROEBNER_PAIRS = 500
 MAX_GROEBNER_BASIS = 50
 MAX_GROEBNER_BITS = 600
+
+
+class GroebnerWorkLimit(Exception):
+    """The work of a basis or of its certificate passed a MAX_GROEBNER_* limit."""
+
+
+class _Steps:
+    """The term updates left to the reductions of one call, out of MAX_GROEBNER_STEPS."""
+
+    def __init__(self):
+        self.left = MAX_GROEBNER_STEPS
+
+    def spend(self, n: int) -> None:
+        self.left -= n
+        if self.left < 0:
+            raise GroebnerWorkLimit(f"more than {MAX_GROEBNER_STEPS} term updates")
 
 
 def _grevlex_key(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -84,11 +105,11 @@ def _primitive(p: dict) -> dict:
     return p if g == 1 else {k: v // g for k, v in p.items()}
 
 
-def _reduce(p: dict, basis, top_only: bool = False) -> dict:
+def _reduce(p: dict, basis, steps: _Steps, top_only: bool = False) -> dict:
     """A multiple of the remainder of p on division by basis, a list of
-    (leading key, polynomial) pairs.  With top_only, stops at the first term
-    no leading monomial divides, so the result is empty exactly when p
-    reduces to 0."""
+    (leading key, polynomial) pairs, each term update spent from steps.
+    With top_only, stops at the first term no leading monomial divides, so
+    the result is empty exactly when p reduces to 0."""
     p = dict(p)
     remainder = {}
     while p:
@@ -106,6 +127,7 @@ def _reduce(p: dict, basis, top_only: bool = False) -> dict:
         a = g[lead]
         q = gcd(a, c)
         a, c = a // q, c // q
+        steps.spend(len(g) + (len(p) + len(remainder) if a != 1 else 0))
         if a != 1:
             for k in p:
                 p[k] *= a
@@ -149,10 +171,9 @@ def _lcm_degree(weights: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]
     return -sum(w * e for w, e in zip(weights, map(min, a, b)))
 
 
-def groebner_basis(polys: Sequence[Polynomial],
-                   max_degree: Optional[int] = None) -> "list[Polynomial] | None":
-    """A Groebner basis in weighted grevlex of the ideal of nonzero homogeneous polys,
-    truncated above max_degree when it is given.
+def groebner_basis(polys: Sequence[Polynomial], max_degree: int) -> list[Polynomial]:
+    """A Groebner basis in weighted grevlex of the ideal of nonzero homogeneous
+    polys, in degrees up to max_degree.
 
     Homogeneous Buchberger over Q: the inputs and the S-pairs are taken in
     order of weighted degree (normal selection, an S-pair at the degree of
@@ -160,20 +181,22 @@ def groebner_basis(polys: Sequence[Polynomial],
     is left.  Pairs whose leading monomials are coprime are skipped (the
     product criterion).  So no leading monomial of the result divides
     another.  Inputs and pairs above max_degree are not taken: the result
-    is then a Groebner basis in degrees up to max_degree only, whose leading
-    monomials generate in(I) in those degrees and a subideal of it above.
-    The elements are primitive integer polynomials.  Returns None when the
-    work passes MAX_GROEBNER_PAIRS reduced S-pairs, MAX_GROEBNER_BASIS
-    elements or MAX_GROEBNER_BITS bits in a coefficient.  The result is not
-    certified here; see `groebner_failure`.
+    is a Groebner basis in degrees up to max_degree, whose leading monomials
+    generate in(I) in those degrees and a subideal of it above.  The
+    elements are primitive integer polynomials.  Raises GroebnerWorkLimit
+    when the work passes MAX_GROEBNER_STEPS term updates,
+    MAX_GROEBNER_PAIRS reduced S-pairs, MAX_GROEBNER_BASIS elements or
+    MAX_GROEBNER_BITS bits in a coefficient.  The result is not certified
+    here; see `groebner_failure`.
     """
     if not polys:
         return []
     ring = polys[0].ring
     weights = ring.degrees[::-1]
+    steps = _Steps()
     # (degree, order of arrival, an input polynomial or a pair of basis indices)
     queue = [(p.homogeneous_degree(), k, _keyed(p)) for k, p in enumerate(polys)
-             if max_degree is None or p.homogeneous_degree() <= max_degree]
+             if p.homogeneous_degree() <= max_degree]
     heapq.heapify(queue)
     arrivals = len(queue)
     basis: list = []
@@ -183,20 +206,21 @@ def groebner_basis(polys: Sequence[Polynomial],
         if isinstance(item, tuple):
             pairs += 1
             if pairs > MAX_GROEBNER_PAIRS:
-                return None
+                raise GroebnerWorkLimit(f"more than {MAX_GROEBNER_PAIRS} S-pairs")
             item = _s_polynomial(basis[item[0]], basis[item[1]])
-        remainder = _reduce(item, basis)
+        remainder = _reduce(item, basis, steps)
         if not remainder:
             continue
         terms = _primitive(remainder)
         lead = max(terms)
         bits = max(abs(v) for v in terms.values()).bit_length()
-        if len(basis) == MAX_GROEBNER_BASIS or bits > MAX_GROEBNER_BITS:
-            return None
+        if len(basis) == MAX_GROEBNER_BASIS:
+            raise GroebnerWorkLimit(f"more than {MAX_GROEBNER_BASIS} basis elements")
+        if bits > MAX_GROEBNER_BITS:
+            raise GroebnerWorkLimit(f"a coefficient of more than {MAX_GROEBNER_BITS} bits")
         for k, (other, _) in enumerate(basis):
             degree = _lcm_degree(weights, lead, other)
-            if any(a and b for a, b in zip(lead, other)) and (
-                    max_degree is None or degree <= max_degree):
+            if any(a and b for a, b in zip(lead, other)) and degree <= max_degree:
                 heapq.heappush(queue, (degree, arrivals, (k, len(basis))))
                 arrivals += 1
         basis.append((lead, terms))
@@ -205,9 +229,9 @@ def groebner_basis(polys: Sequence[Polynomial],
 
 
 def groebner_failure(basis: Sequence[Polynomial], polys: Sequence[Polynomial],
-                     max_degree: Optional[int] = None) -> "str | None":
-    """Why basis is not a Groebner basis of the ideal of polys, in degrees up to
-    max_degree when it is given, or None when it is one.
+                     max_degree: int) -> "str | None":
+    """Why basis is not a Groebner basis of the ideal of polys in degrees up to
+    max_degree, or None when it is one.
 
     Buchberger's criterion, checked on every S-pair (coprime ones included)
     of degree up to max_degree: each reduces to 0 by the basis.  For
@@ -215,21 +239,22 @@ def groebner_failure(basis: Sequence[Polynomial], polys: Sequence[Polynomial],
     degrees.  Then each nonzero input of degree up to max_degree reduces to
     0, so the ideal of the basis holds those inputs.  A basis from
     `groebner_basis` lies in the ideal of its inputs by construction, so the
-    two ideals are then equal in those degrees.
+    two ideals are then equal in those degrees.  Raises GroebnerWorkLimit
+    past MAX_GROEBNER_STEPS term updates, so no answer is given unchecked.
     """
     weights = basis[0].ring.degrees[::-1] if basis else ()
     pairs = [(max(g), g) for g in map(_keyed, basis)]
+    steps = _Steps()
     for j in range(len(pairs)):
         for k in range(j):
-            degree = _lcm_degree(weights, pairs[k][0], pairs[j][0])
-            if max_degree is not None and degree > max_degree:
+            if _lcm_degree(weights, pairs[k][0], pairs[j][0]) > max_degree:
                 continue
-            if _reduce(_s_polynomial(pairs[k], pairs[j]), pairs, top_only=True):
+            if _reduce(_s_polynomial(pairs[k], pairs[j]), pairs, steps, top_only=True):
                 return f"the S-pair of elements {k} and {j} does not reduce to 0"
     for k, p in enumerate(polys):
-        if p.is_zero() or (max_degree is not None and p.homogeneous_degree() > max_degree):
+        if p.is_zero() or p.homogeneous_degree() > max_degree:
             continue
-        if _reduce(_keyed(p), pairs, top_only=True):
+        if _reduce(_keyed(p), pairs, steps, top_only=True):
             return f"input {k} does not reduce to 0"
     return None
 

@@ -40,6 +40,7 @@ from .complexes import (
 from .homology import (
     DimComparison,
     HilbertTable,
+    _koszul_table,
     compare_tables,
     homology_dimensions,
     koszul_table,
@@ -411,7 +412,7 @@ def verify_sym_ga(p: ZeroLocusPresentation, cutoff: int,
         return DimComparison(True, None, table, table)
     kos = koszul_complex(p)
     table_a = homology_dimensions(_sym_subcomplex(p, kos, n_max), cutoff)
-    table_b = koszul_table(p, cutoff, kos)
+    table_b = _koszul_table(p, cutoff, kos)
     witness = compare_tables(table_a, table_b)
     return DimComparison(witness is None, witness, table_a, table_b)
 

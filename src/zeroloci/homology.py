@@ -12,7 +12,8 @@ exactly, gives the Hilbert function of R/I, hence rank(d^-1)_d =
 dim R_d - dim (R/I)_d, and the grade of I; depth sensitivity gives
 H^-i = 0 for i > r - grade, hence the ranks of d^-i for those i from the
 top down.  Only the cells d^-i with 2 <= i <= r - grade are left to the
-rank route below, and a regular sequence (grade r) leaves none.
+rank route below, and a regular sequence (grade r) leaves none; past the
+Groebner work limits every cell is.
 
 A rank cell below MODULAR_MIN_ENTRIES entries (rows x columns) is reduced
 exactly over Q.  A larger cell takes its rank mod a prime, which is a lower
@@ -262,21 +263,21 @@ def _hilbert_and_grade(ring: GradedRing, entries: list[Polynomial],
     sum_d dim (R/J)_d t^d = K(t) / prod (1 - t^deg x_i) is the Hilbert
     series of R/I up to t^max_degree (R/I and R/in(I) have one Hilbert
     function), and g = height J <= height in(I) = grade I, with equality
-    when the basis is complete.  None past the Groebner work limits.  The
-    groebner module is imported here, so importing the package does not
-    load it."""
+    when the basis is complete.  None when the basis or its certificate
+    passes a Groebner work limit.  The groebner module is imported here, so
+    importing the package does not load it."""
     from . import groebner
 
-    basis = groebner.groebner_basis(entries, max_degree)
-    if basis is None:
+    try:
+        basis = groebner.groebner_basis(entries, max_degree)
+        _certify(basis, entries, max_degree)
+    except groebner.GroebnerWorkLimit:
         return None
-    _certify(basis, entries, max_degree)
     lead = [groebner.leading_monomial(g) for g in basis]
     return groebner.hilbert_numerator(ring, lead), groebner.monomial_height(lead)
 
 
-def koszul_table(p: ZeroLocusPresentation, cutoff: int,
-                 kos: Optional[Complex] = None) -> HilbertTable:
+def koszul_table(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
     """homology_dimensions(koszul_complex(p), cutoff), mostly without rank cells.
 
     With r entries f and I = (f), the ranks come from two exact facts:
@@ -294,13 +295,19 @@ def koszul_table(p: ZeroLocusPresentation, cutoff: int,
     when the basis is complete).  A failed certificate, or two values of
     rank(d^-1) at g = r that disagree, raise ComplexInvariantError.  The
     cells d^-i with 2 <= i <= r - g go through the rank route, with the
-    ranks above as exact neighbours; only they need the Koszul complex,
-    kos when given (it must be koszul_complex(p)), else built.  Past the
-    Groebner work limits of `groebner.groebner_basis` the whole table takes
-    the rank route.  The window limits apply first, as in
-    homology_dimensions, and MAX_CELL_ENTRIES only to the cells still
-    computed.
+    ranks above as exact neighbours; only they need the Koszul complex.
+    Past the Groebner work limits of `groebner.groebner_basis` and
+    `groebner.groebner_failure` every cell takes the rank route.  The window
+    limits apply first, as in homology_dimensions, and MAX_CELL_ENTRIES,
+    before the Koszul complex is built, to the cells still computed.
     """
+    return _koszul_table(p, cutoff, None)
+
+
+def _koszul_table(p: ZeroLocusPresentation, cutoff: int,
+                  kos: Optional[Complex]) -> HilbertTable:
+    """koszul_table(p, cutoff), for a caller that holds koszul_complex(p) as
+    kos already; built here, when a rank cell is left, if kos is None."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     terms = koszul_terms(p)
@@ -308,27 +315,30 @@ def koszul_table(p: ZeroLocusPresentation, cutoff: int,
     r = len(p.all_entries)
     degrees = _degree_window(terms, cutoff)
     _check_window(r if entries else 0, len(terms), degrees)
-    ideal = _hilbert_and_grade(p.ring, entries, cutoff)
-    if ideal is None:
-        return homology_dimensions(koszul_complex(p) if kos is None else kos, cutoff)
-    numerator, grade = ideal
     dims = _term_dims(terms, degrees)
     ranks = {}
-    for d in degrees:
-        if not r:
-            break
-        ranks[-1, d] = dims[0, d] - sum(c * graded_piece_dim(p.ring, d - k)
-                                        for k, c in numerator.items())
-        below = 0
-        for i in range(r, r - grade, -1):
-            rank = dims[-i, d] - below
-            if i == 1 and rank != ranks[-1, d]:
-                raise ComplexInvariantError(
-                    f"rank {ranks[-1, d]} of d^-1 in degree {d} from the Hilbert function "
-                    f"but {rank} by depth sensitivity")
-            ranks[-i, d] = below = rank
+    ideal = _hilbert_and_grade(p.ring, entries, cutoff)
+    if ideal is None:
+        # past the Groebner work limits every cell takes the rank route
+        left = range(-r, 0)
+    else:
+        numerator, grade = ideal
+        left = range(-(r - grade), -1)
+        for d in degrees:
+            if not r:
+                break
+            ranks[-1, d] = dims[0, d] - sum(c * graded_piece_dim(p.ring, d - k)
+                                            for k, c in numerator.items())
+            below = 0
+            for i in range(r, r - grade, -1):
+                rank = dims[-i, d] - below
+                if i == 1 and rank != ranks[-1, d]:
+                    raise ComplexInvariantError(
+                        f"rank {ranks[-1, d]} of d^-1 in degree {d} from the Hilbert "
+                        f"function but {rank} by depth sensitivity")
+                ranks[-i, d] = below = rank
     cells = []
-    for i in range(-(r - grade), -1):
+    for i in left:
         for d in degrees:
             if entries and dims[i, d] and dims[i + 1, d]:
                 cells.append((i, d))

@@ -51,11 +51,12 @@ _MAX_EXPONENT = 1000
 # counts a * b).  Reaching it takes about 0.15 s (Python 3.11, 2 cores); the
 # largest count met in the tests and the benchmark workloads is 31
 _MAX_TERM_PRODUCTS = 10000
-# and no product may have a coefficient of more than this many bits (numerator
-# plus denominator), bounded before the product is formed by the sum of the
-# factors' largest.  A product at the limit takes microseconds; the largest
-# factor met in the tests has 32 bits (2147483630), in the benchmark
-# workloads 3
+# and before each product the largest coefficients of the two factors may
+# have at most this many bits together (numerator plus denominator each).  A
+# coefficient of the product is a sum of such products, so this bounds the
+# factors, not exactly the product.  A product at the limit takes
+# microseconds; the largest factor met in the tests has 32 bits
+# (2147483630), in the benchmark workloads 3
 _MAX_COEFFICIENT_BITS = 10000
 # the prime of `modular_rank`: below 2^31, so a product of two residues fits int64
 MODULUS = 2147483629
@@ -400,8 +401,9 @@ class _Parser:
                              f"more than the limit of {_MAX_TERM_PRODUCTS}", pos)
         bits = _coefficient_bits(a) + _coefficient_bits(b)
         if bits > _MAX_COEFFICIENT_BITS:
-            raise ParseError(f"the expression needs a coefficient of up to {bits} bits, "
-                             f"more than the limit of {_MAX_COEFFICIENT_BITS}", pos)
+            raise ParseError(f"the expression multiplies factors whose largest coefficients "
+                             f"have {bits} bits, more than the limit of "
+                             f"{_MAX_COEFFICIENT_BITS}", pos)
         return a * b
 
     def parse_expr(self) -> Polynomial:

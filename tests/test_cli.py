@@ -316,6 +316,16 @@ HOSTILE_SIZES = {
     "negative-sym-max": (TRUNCATED_SYM.replace("sym_max = 1", "sym_max = -1"),
                          "n_max must be >= 0"),
 }
+# four dense quadrics over ten variables at the default cutoff 16: the Groebner
+# basis stops at its work limit, and the rank route refuses its largest cell before
+# the Koszul complex is built
+DENSE_QUADRICS = ", ".join(
+    " + ".join(f"{(7 * q + 3 * m) % 11 + 1}*{x}*{y}" for m, (x, y) in enumerate(
+        (x, y) for k, x in enumerate("abcdefghij") for y in "abcdefghij"[k:])) + " : 2"
+    for q in range(4))
+HOSTILE_SIZES["dense-quadrics"] = (
+    TEN_VARIABLES + f"[section]\nentries = {DENSE_QUADRICS}\n[task]\nkind = homology\n",
+    f"2042975 x 3268760 = 6677994961000 entries, more than the limit of {MAX_CELL_ENTRIES}")
 # a short power of a sum: each product costs one step per pair of terms
 for name, power in (("four", "(x + y + z + w)^1000"), ("two", "(x + y)^1000")):
     HOSTILE_SIZES[f"power-of-{name}-terms"] = (

@@ -407,7 +407,7 @@ def _count_koszul_builds_and_tables(monkeypatch) -> dict[str, int]:
 
     for module in (zerolocus, gtheory, homology):
         monkeypatch.setattr(module, "koszul_complex", counted("koszul", module.koszul_complex))
-    for name in ("homology_dimensions", "koszul_table"):
+    for name in ("homology_dimensions", "koszul_table", "_koszul_table"):
         monkeypatch.setattr(gtheory, name, counted("table", getattr(gtheory, name)))
     return calls
 

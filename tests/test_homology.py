@@ -320,7 +320,7 @@ def test_groebner_certificate_refuses_a_basis_short_of_one_element():
     # the last element comes from the S-pair of the two quadrics, in degree 3;
     # the certificate checks pairs and inputs up to and including its degree
     entries = [parse_poly(t, RING_XYZ) for t in ("x^2 - y*z", "x*y - z^2")]
-    basis = groebner_basis(entries)
+    basis = groebner_basis(entries, 10)
     assert [g.homogeneous_degree() for g in basis] == [2, 2, 3]
     homology._certify(basis, entries, 10)
     with pytest.raises(ComplexInvariantError, match="S-pair"):
@@ -330,18 +330,24 @@ def test_groebner_certificate_refuses_a_basis_short_of_one_element():
         homology._certify(basis[:1], entries, 2)
 
 
-@pytest.mark.parametrize("limit", ["MAX_GROEBNER_PAIRS", "MAX_GROEBNER_BASIS",
-                                   "MAX_GROEBNER_BITS"])
+@pytest.mark.parametrize("limit", ["MAX_GROEBNER_STEPS", "MAX_GROEBNER_PAIRS",
+                                   "MAX_GROEBNER_BASIS", "MAX_GROEBNER_BITS"])
 def test_groebner_work_limit_falls_back_to_the_rank_route(monkeypatch, limit):
     p = pres(RING_XY, [("x*y", 2), ("x^2 + 3*y^2", 2), ("x^2 - 5*x*y", 2)])
     expected = _oracle(p, 8)
     monkeypatch.setattr(groebner, limit, 1)
-    assert groebner_basis([f for f, _ in p.section]) is None
-    fallback = []
-    monkeypatch.setattr(homology, "homology_dimensions",
-                        lambda c, cutoff: fallback.append(c) or homology_dimensions(c, cutoff))
+    with pytest.raises(groebner.GroebnerWorkLimit):
+        groebner_basis([f for f, _ in p.section], 8)
+    calls = []
+    ranks = homology._ranks
+    monkeypatch.setattr(homology, "_ranks",
+                        lambda c, degrees, known=None: calls.append(dict(known)) or
+                        ranks(c, degrees, known))
     assert koszul_table(p, 8) == expected
-    assert len(fallback) == 1
+    # no rank is known but those of the cells with an empty side
+    [known] = calls
+    assert set(known.values()) == {0}
+    assert (-1, 2) not in known
 
 
 def test_hilbert_numerator_of_monomial_ideals():
