@@ -3,7 +3,8 @@
 `groebner_basis` is homogeneous Buchberger in weighted grevlex, with normal
 selection and the product criterion, truncated above a degree;
 `groebner_failure` certifies a basis exactly up to that degree (Buchberger's
-criterion on every S-pair, and membership of every input).  Both raise
+criterion on every S-pair the product criterion leaves, and membership of
+every input).  Both raise
 `GroebnerWorkLimit` past named work limits.  `hilbert_numerator` and
 `monomial_height` read the Hilbert series and the height of the ideal of
 the leading monomials without enumerating monomials.  `homology` imports
@@ -233,10 +234,12 @@ def groebner_failure(basis: Sequence[Polynomial], polys: Sequence[Polynomial],
     """Why basis is not a Groebner basis of the ideal of polys in degrees up to
     max_degree, or None when it is one.
 
-    Buchberger's criterion, checked on every S-pair (coprime ones included)
-    of degree up to max_degree: each reduces to 0 by the basis.  For
-    homogeneous polynomials that makes the basis a Groebner basis in those
-    degrees.  Then each nonzero input of degree up to max_degree reduces to
+    Buchberger's criterion, checked on every S-pair of degree up to
+    max_degree whose leading monomials share a variable: each reduces to 0
+    by the basis.  A pair with coprime leading monomials reduces to 0 by
+    its own two elements (the product criterion; Cox, Little and O'Shea,
+    ch. 2 sec. 9, Prop. 4), so it is skipped.  For homogeneous polynomials
+    that makes the basis a Groebner basis in those degrees.  Then each nonzero input of degree up to max_degree reduces to
     0, so the ideal of the basis holds those inputs.  A basis from
     `groebner_basis` lies in the ideal of its inputs by construction, so the
     two ideals are then equal in those degrees.  Raises GroebnerWorkLimit
@@ -247,7 +250,9 @@ def groebner_failure(basis: Sequence[Polynomial], polys: Sequence[Polynomial],
     steps = _Steps()
     for j in range(len(pairs)):
         for k in range(j):
-            if _lcm_degree(weights, pairs[k][0], pairs[j][0]) > max_degree:
+            a, b = pairs[k][0], pairs[j][0]
+            coprime = not any(x and y for x, y in zip(a, b))
+            if coprime or _lcm_degree(weights, a, b) > max_degree:
                 continue
             if _reduce(_s_polynomial(pairs[k], pairs[j]), pairs, steps, top_only=True):
                 return f"the S-pair of elements {k} and {j} does not reduce to 0"

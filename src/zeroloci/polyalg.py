@@ -3,7 +3,10 @@
 Polynomials carry a single positive Z-grading (each variable has a weight
 >= 1, so every graded piece is finite dimensional).  Coefficients are
 `fractions.Fraction`; there is no floating point anywhere in this package.
-Homogeneous matrices between twisted free modules reduce, degree by degree,
+Terms are a dict {exponent tuple: coefficient} with no zero value;
+`_add_terms` and `_times` sum and multiply such dicts for the operators and
+for `parse_poly`, whose recursive descent keeps integer coefficients as int
+and makes one validated `Polynomial` per expression.  Homogeneous matrices between twisted free modules reduce, degree by degree,
 to finite matrices over Q, assembled as sparse integer rows (the rational
 matrix times one positive integer, so ranks are unchanged).  Two kernels take
 their rank: `rational_rank`, exact sparse integer row reduction with gcd
@@ -19,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, log10
 from operator import add
 from typing import Mapping, Sequence
 
@@ -48,8 +51,9 @@ _MAX_NESTING = 100
 _MAX_EXPONENT = 1000
 # but a product costs one step per pair of terms, so one parse may form at
 # most this many pairs, powers included (an a-term times a b-term polynomial
-# counts a * b).  Reaching it takes about 0.15 s (Python 3.11, 2 cores); the
-# largest count met in the tests and the benchmark workloads is 31
+# counts a * b).  Reaching it takes about 0.01 s (Python 3.11, 2 cores); the
+# largest count met is 31 in the benchmark workloads, and 110 in the tests
+# outside the checks of this limit
 _MAX_TERM_PRODUCTS = 10000
 # and before each product the largest coefficients of the two factors may
 # have at most this many bits together (numerator plus denominator each).  A
@@ -58,6 +62,8 @@ _MAX_TERM_PRODUCTS = 10000
 # microseconds; the largest factor met in the tests has 32 bits
 # (2147483630), in the benchmark workloads 3
 _MAX_COEFFICIENT_BITS = 10000
+# a number literal with more digits than 2^_MAX_COEFFICIENT_BITS has more bits
+_MAX_COEFFICIENT_DIGITS = int(_MAX_COEFFICIENT_BITS * log10(2)) + 1
 # the prime of `modular_rank`: below 2^31, so a product of two residues fits int64
 MODULUS = 2147483629
 
@@ -190,23 +196,47 @@ def _basis_position(ring: GradedRing, d: int) -> dict[tuple[int, ...], int]:
     return {exps: k for k, exps in enumerate(graded_piece_basis(ring, d))}
 
 
+def _add_terms(acc: dict, terms: Mapping, subtract: bool = False) -> dict:
+    """acc + terms (or acc - terms) for term dicts with no zero value, formed
+    in acc, which is returned; a term that cancels is dropped."""
+    for e, c in terms.items():
+        c = acc.get(e, 0) - c if subtract else acc.get(e, 0) + c
+        if c:
+            acc[e] = c
+        else:
+            del acc[e]
+    return acc
+
+
+def _times(a: Mapping, b: Mapping) -> dict:
+    """The product of two term dicts with no zero value; a term that cancels is dropped."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            c = out.get(e, 0) + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    return out
+
+
 class Polynomial:
     """Element of a GradedRing: finite map from exponent vectors to nonzero rationals."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: GradedRing, terms: Mapping[tuple[int, ...], Fraction]):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        self.ring = ring
+        self.terms: dict[tuple[int, ...], Fraction] = {}
         for exps, c in terms.items():
             c = Fraction(c)
-            if c == 0:
-                continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != ring.nvars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps} for {ring!r}")
-            clean[exps] = clean.get(exps, Fraction(0)) + c
-        self.ring = ring
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+            if c:
+                exps = tuple(int(e) for e in exps)
+                if len(exps) != ring.nvars or any(e < 0 for e in exps):
+                    raise ValueError(f"bad exponent vector {exps} for {ring!r}")
+                _add_terms(self.terms, {exps: c})
 
     # -- predicates ------------------------------------------------------
 
@@ -228,34 +258,38 @@ class Polynomial:
 
     # -- arithmetic ------------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, ring: GradedRing, terms: dict) -> "Polynomial":
+        """A polynomial on terms already valid for ring, not checked again."""
+        p = object.__new__(cls)
+        p.ring, p.terms = ring, terms
+        return p
+
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatch("polynomials over different rings")
             return other
         if isinstance(other, (int, Fraction)):
             return Polynomial(self.ring, {(0,) * self.ring.nvars: Fraction(other)})
         return NotImplemented
 
-    def __add__(self, other):
+    def _sum(self, other, subtract: bool):
         other = self._coerce(other)
         if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(self.ring, terms)
+            return other
+        return Polynomial._trusted(self.ring, _add_terms(dict(self.terms), other.terms, subtract))
+
+    def __add__(self, other):
+        return self._sum(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.ring, _add_terms({}, self.terms, True))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -264,22 +298,9 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.ring, terms)
+        return Polynomial._trusted(self.ring, _times(self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -299,9 +320,6 @@ class Polynomial:
             e2[var_index] = k - 1
             terms[tuple(e2)] = terms.get(tuple(e2), Fraction(0)) + c * k
         return Polynomial(self.ring, terms)
-
-    def coefficient(self, exponents: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
 
     # -- printing --------------------------------------------------------
 
@@ -342,60 +360,50 @@ class Polynomial:
 # parsing
 # ---------------------------------------------------------------------------
 
+# a token, or `bad`: the first character that starts none
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
-)
+    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 def _tokenize(text: str):
+    """(kind, text, position) per token, then ("eof", "", len(text))."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append((kind, m.group(kind), m.start(kind)))
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    """Recursive descent for: rationals (a or a/b), variables, + - * ^, parens."""
+    """Recursive descent for: rationals (a or a/b), variables, + - * ^, parens.
 
-    def __init__(self, tokens, ring: GradedRing):
-        self.tokens = tokens
+    Each rule returns a new term dict {exponent tuple: int or Fraction} with
+    no zero value, so `+` and `-` add into it in place.
+    """
+
+    def __init__(self, text: str, ring: GradedRing):
+        self.tokens = _tokenize(text)
         self.i = 0
         self.ring = ring
+        self.constant = (0,) * ring.nvars
         self.depth = 0
         self.products = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def at(self, symbol: str) -> bool:
+        kind, value, _ = self.tokens[self.i]
+        return kind == "op" and value == symbol
 
     def advance(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-    def expect_op(self, symbol: str):
-        kind, value, pos = self.peek()
-        if kind == "op" and value == symbol:
-            return self.advance()
-        raise ParseError(f"expected {symbol!r}", pos)
-
-    def multiply(self, a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
+    def multiply(self, a: dict, b: dict, pos: int) -> dict:
         """a * b, counted against _MAX_TERM_PRODUCTS and _MAX_COEFFICIENT_BITS
         before it is formed."""
-        self.products += len(a.terms) * len(b.terms)
+        self.products += len(a) * len(b)
         if self.products > _MAX_TERM_PRODUCTS:
             raise ParseError(f"the expression needs at least {self.products} term products, "
                              f"more than the limit of {_MAX_TERM_PRODUCTS}", pos)
@@ -404,95 +412,91 @@ class _Parser:
             raise ParseError(f"the expression multiplies factors whose largest coefficients "
                              f"have {bits} bits, more than the limit of "
                              f"{_MAX_COEFFICIENT_BITS}", pos)
-        return a * b
+        return _times(a, b)
 
-    def parse_expr(self) -> Polynomial:
-        kind, value, pos = self.peek()
-        negate = False
-        if kind == "op" and value == "-":
-            self.advance()
-            negate = True
+    def number(self) -> int:
+        """The next token, a number literal, refused by its digit count before
+        int() reads it when it has more than _MAX_COEFFICIENT_BITS bits."""
+        _, value, pos = self.advance()
+        digits = value.lstrip("0")
+        if len(digits) > _MAX_COEFFICIENT_DIGITS:
+            raise ParseError(f"a number of {len(digits)} digits has more bits than the limit "
+                             f"of {_MAX_COEFFICIENT_BITS}", pos)
+        return int(digits or "0")
+
+    def parse_expr(self) -> dict:
+        negate = self.at("-")
+        self.i += negate
         acc = self.parse_term()
         if negate:
-            acc = -acc
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                acc = acc + rhs if value == "+" else acc - rhs
-            else:
-                return acc
+            acc = _add_terms({}, acc, True)
+        while self.at("+") or self.at("-"):
+            subtract = self.advance()[1] == "-"
+            _add_terms(acc, self.parse_term(), subtract)
+        return acc
 
-    def parse_term(self) -> Polynomial:
+    def parse_term(self) -> dict:
         acc = self.parse_factor()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                acc = self.multiply(acc, self.parse_factor(), pos)
-            else:
-                return acc
+        while self.at("*"):
+            pos = self.advance()[2]
+            acc = self.multiply(acc, self.parse_factor(), pos)
+        return acc
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self) -> dict:
         base = self.parse_base()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind != "num":
-                raise ParseError("expected a nonnegative integer exponent", pos)
-            if int(value) > _MAX_EXPONENT:
-                raise ParseError(f"exponent {value} exceeds {_MAX_EXPONENT}", pos)
-            self.advance()
-            out = self.ring.one()
-            for _ in range(int(value)):
-                out = self.multiply(out, base, pos)
-            return out
-        return base
+        if not self.at("^"):
+            return base
+        self.i += 1
+        kind, value, pos = self.advance()
+        if kind != "num":
+            raise ParseError("expected a nonnegative integer exponent", pos)
+        digits = value.lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+            shown = value if len(value) <= 20 else f"of {len(value)} digits"
+            raise ParseError(f"exponent {shown} exceeds {_MAX_EXPONENT}", pos)
+        out = {self.constant: 1}
+        for _ in range(int(digits)):
+            out = self.multiply(out, base, pos)
+        return out
 
-    def parse_base(self) -> Polynomial:
-        kind, value, pos = self.peek()
+    def parse_base(self) -> dict:
+        kind, value, pos = self.tokens[self.i]
         if kind == "num":
-            self.advance()
-            numer = int(value)
-            kind2, value2, _ = self.peek()
-            if kind2 == "op" and value2 == "/":
-                self.advance()
-                kind3, value3, pos3 = self.peek()
-                if kind3 != "num":
-                    raise ParseError("expected a denominator", pos3)
-                self.advance()
-                if int(value3) == 0:
-                    raise ParseError("zero denominator", pos3)
-                c = Fraction(numer, int(value3))
-            else:
-                c = Fraction(numer)
-            return Polynomial(self.ring, {(0,) * self.ring.nvars: c})
+            c = self.number()
+            if self.at("/"):
+                self.i += 1
+                kind, _, pos = self.tokens[self.i]
+                if kind != "num":
+                    raise ParseError("expected a denominator", pos)
+                denominator = self.number()
+                if denominator == 0:
+                    raise ParseError("zero denominator", pos)
+                c = Fraction(c, denominator)
+            return {self.constant: c} if c else {}
+        self.i += 1
         if kind == "ident":
-            self.advance()
-            try:
-                return self.ring.variable(value)
-            except KeyError:
-                raise ParseError(f"unknown variable {value!r}", pos) from None
+            if value not in self.ring.variables:
+                raise ParseError(f"unknown variable {value!r}", pos)
+            i = self.ring.variables.index(value)
+            return {self.constant[:i] + (1,) + self.constant[i + 1:]: 1}
         if kind == "op" and value == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
-            self.advance()
             self.depth += 1
             inner = self.parse_expr()
             self.depth -= 1
-            self.expect_op(")")
+            if not self.at(")"):
+                raise ParseError("expected ')'", self.tokens[self.i][2])
+            self.i += 1
             return inner
         raise ParseError("expected a number, variable or parenthesis", pos)
 
 
-def _coefficient_bits(p: Polynomial) -> int:
-    """The most bits of a coefficient of p, numerator plus denominator."""
-    # a plain loop: parsing calls this twice per product, and a generator
-    # under max() took twice as long
+def _coefficient_bits(terms: Mapping) -> int:
+    """The most bits of a coefficient in a term dict, numerator plus denominator."""
+    # a plain loop: a generator under max() took twice as long
     bits = 0
-    for c in p.terms.values():
+    for c in terms.values():
         n = c.numerator.bit_length() + c.denominator.bit_length()
         if n > bits:
             bits = n
@@ -501,12 +505,12 @@ def _coefficient_bits(p: Polynomial) -> int:
 
 def parse_poly(text: str, ring: GradedRing) -> Polynomial:
     """Parse a polynomial expression; print/parse round-trips exactly."""
-    parser = _Parser(_tokenize(text), ring)
-    poly = parser.parse_expr()
-    kind, value, pos = parser.peek()
+    parser = _Parser(text, ring)
+    terms = parser.parse_expr()
+    kind, value, pos = parser.tokens[parser.i]
     if kind != "eof":
         raise ParseError(f"unexpected {value!r}", pos)
-    return poly
+    return Polynomial(ring, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +633,6 @@ class PolyMatrix:
     def __neg__(self) -> "PolyMatrix":
         return PolyMatrix(self.source, self.target,
                           [[-p for p in row] for row in self.entries])
-
-    def scale(self, c) -> "PolyMatrix":
-        return PolyMatrix(self.source, self.target,
-                          [[p * c for p in row] for row in self.entries])
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

@@ -338,6 +338,18 @@ for outer in (1000, 10):
         "[ring]\nvariables = x\ndegrees = 1\n[section]\n"
         f"entries = ((2^1000)^1000)^{outer}*x : 1\n[task]\nkind = homology\ncutoff = 2\n",
         f"bits, more than the limit of {_MAX_COEFFICIENT_BITS}")
+# number literals too long for int(): refused by their digit count, with a position
+for name, entry, message in (
+        ("coefficient", "1" + "0" * 5000 + "*x",
+         f"a number of 5001 digits has more bits than the limit of {_MAX_COEFFICIENT_BITS} "
+         "at position 0"),
+        ("denominator", "1/" + "7" * 5000 + "*x",
+         f"a number of 5000 digits has more bits than the limit of {_MAX_COEFFICIENT_BITS} "
+         "at position 2"),
+        ("exponent", "x^" + "1" * 5000, "exponent of 5000 digits exceeds 1000 at position 2")):
+    HOSTILE_SIZES[f"long-{name}-literal"] = (
+        "[ring]\nvariables = x\ndegrees = 1\n[section]\n"
+        f"entries = {entry} : 1\n[task]\nkind = homology\n", message)
 # windows of 2^63 degrees or more, past what len() of a range can count
 HUGE = 10**20
 for kind in ("homology", "verify-excess", "verify-sym-ga"):

@@ -23,7 +23,8 @@ from zeroloci.homology import (
     same_homology_dims,
 )
 from zeroloci.groebner import groebner_basis, hilbert_numerator
-from zeroloci.polyalg import GradedRing, PolyMatrix, graded_piece_basis, parse_poly, rational_rank
+from zeroloci.polyalg import (
+    GradedRing, Polynomial, PolyMatrix, graded_piece_basis, parse_poly, rational_rank)
 from zeroloci.zerolocus import ZeroLocusPresentation, koszul_complex
 
 from conftest import (
@@ -328,6 +329,24 @@ def test_groebner_certificate_refuses_a_basis_short_of_one_element():
     homology._certify(basis[:-1], entries, 2)
     with pytest.raises(ComplexInvariantError, match="input 1"):
         homology._certify(basis[:1], entries, 2)
+
+
+def test_certificate_of_dense_quadrics_stays_under_the_work_limit(monkeypatch):
+    # four dense quadrics on five variables, one coefficient in [-3, 3] per
+    # monomial: re-reducing their coprime S-pairs too took the certificate past
+    # MAX_GROEBNER_STEPS, and the table to the rank route
+    rng = random.Random(3)
+    basis = graded_piece_basis(RING_X0_L, 2)
+    p = ZeroLocusPresentation(RING_X0_L, (), tuple(
+        (Polynomial(RING_X0_L, {e: rng.randint(-3, 3) for e in basis}), 2) for _ in range(4)))
+    ideals = []
+    hilbert_and_grade = homology._hilbert_and_grade
+    monkeypatch.setattr(homology, "_hilbert_and_grade",
+                        lambda *args: ideals.append(hilbert_and_grade(*args)) or ideals[-1])
+    table = koszul_table(p, 8)
+    [ideal] = ideals
+    assert ideal is not None and ideal[1] == 4
+    assert table == _oracle(p, 8)
 
 
 @pytest.mark.parametrize("limit", ["MAX_GROEBNER_STEPS", "MAX_GROEBNER_PAIRS",

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeroloci.polyalg import (
+    _MAX_COEFFICIENT_BITS,
+    _MAX_EXPONENT,
     MODULUS,
     GradedFreeModule,
     GradedRing,
@@ -87,6 +89,109 @@ def test_parse_rejects_malformed():
     for text in ("x y", "x ** 2", "x ^ -1", "(x", "3x", "x /2"):
         with pytest.raises(ParseError):
             parse_poly(text, RING_XY)
+    # literals too long for int(): refused by their digit count, with a position
+    for text, position, message in (
+            ("1" + "0" * 5000 + "*x", 0, f"more bits than the limit of {_MAX_COEFFICIENT_BITS}"),
+            ("x + 1/" + "1" * 5000, 6, f"more bits than the limit of {_MAX_COEFFICIENT_BITS}"),
+            ("x^" + "1" * 5000, 2, f"exponent of 5000 digits exceeds {_MAX_EXPONENT}"),
+            ("x^00001001", 2, f"exponent 00001001 exceeds {_MAX_EXPONENT}")):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_poly(text, RING_XY)
+        assert err.value.position == position
+    # leading zeros do not count: 2^10000 has 3011 digits, 10^3011 has more bits
+    assert parse_poly("0" * 5000 + "3*x^0" + "0" * 5000 + "1", RING_XY) == 3 * RING_XY.variable("x")
+    assert len(str(2 ** _MAX_COEFFICIENT_BITS)) == 3011
+    parse_poly("9" * 3011, RING_XY)
+    with pytest.raises(ParseError, match="3012 digits"):
+        parse_poly("1" + "0" * 3011, RING_XY)
+
+
+# (x + y)^k costs 2 + 4 + ... + 2k term products, so (x + y)^99*1 meets the
+# limit of 10000 exactly; zeros are dropped before the products are counted
+@pytest.mark.parametrize("text, printed", [
+    ("x^2*y - 3/2*y", "x^2*y - 3/2*y"),
+    ("(x + y)^3", "x^3 + 3*x^2*y + 3*x*y^2 + y^3"),
+    ("(x - x)^1000*y", "0"),
+    ("(x - x)^1000*(x + y)^99", "0"),
+    ("(x + y)^99*1", None),
+    # x^2 - y^2 has two terms, so its 99th power counts 2 + 4 + ... + 198
+    ("((x + y)*(x - y))^99", None),
+])
+def test_parse_results_are_pinned(text, printed):
+    p = parse_poly(text, RING_XY)
+    assert printed is None or str(p) == printed
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+@pytest.mark.parametrize("text", ["(x + y)^100", "(x + y)^99*(x + y)"])
+def test_parse_term_products_are_counted_as_pinned(text):
+    with pytest.raises(ParseError, match="needs at least 10100 term products"):
+        parse_poly(text, RING_XY)
+
+
+def test_operators_drop_cancelled_terms():
+    x, y = RING_XY.variable("x"), RING_XY.variable("y")
+    assert ((x + y) * (x - y)).terms == {(2, 0): 1, (0, 2): -1}
+    assert (x - x).terms == (x + -x).terms == (-x + x).terms == {}
+    assert all(type(c) is Fraction for c in ((x + 1) * (x - Fraction(1, 2))).terms.values())
+
+
+# expression trees: a leaf is a variable or a literal a or a/b; a node is
+# ("+" | "-" | "*", left, right), ("^", base, k) or ("neg", operand)
+_LEAVES = st.one_of(
+    st.sampled_from(["x", "y"]),
+    st.tuples(st.integers(0, 12), st.one_of(st.none(), st.integers(1, 6))))
+_TREES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(st.sampled_from("+-*"), inner, inner),
+    st.tuples(st.just("^"), inner, st.integers(0, 3)),
+    st.tuples(st.just("neg"), inner)), max_leaves=8)
+# the binding of each form: a sum 1, a term 2, a factor 3, an atom 4
+_LEVEL = {"+": 1, "-": 1, "neg": 1, "*": 2, "^": 3}
+
+
+def _render(tree, level: int, parens) -> str:
+    """tree as text, in parentheses where its form binds looser than level
+    (a leading minus only begins a sum) and where parens draws True."""
+    if isinstance(tree, str):
+        text, own = tree, 4
+    elif isinstance(tree[0], int):
+        text, own = str(tree[0]) if tree[1] is None else f"{tree[0]}/{tree[1]}", 4
+    elif tree[0] == "neg":
+        text, own = "-" + _render(tree[1], 2, parens), 1
+    elif tree[0] == "^":
+        text, own = f"{_render(tree[1], 4, parens)}^{tree[2]}", 3
+    else:
+        op, own = tree[0], _LEVEL[tree[0]]
+        sep = "*" if op == "*" else f" {op} "
+        text = _render(tree[1], own, parens) + sep + _render(tree[2], own + 1, parens)
+    return f"({text})" if own < level or parens() else text
+
+
+def _evaluate(tree, ring):
+    """tree by Polynomial operators on ring.variable and Fraction constants."""
+    if isinstance(tree, str):
+        return ring.variable(tree)
+    if isinstance(tree[0], int):
+        return ring.one() * Fraction(tree[0], tree[1] or 1)
+    if tree[0] == "neg":
+        return -_evaluate(tree[1], ring)
+    if tree[0] == "^":
+        base, out = _evaluate(tree[1], ring), ring.one()
+        for _ in range(tree[2]):
+            out = out * base
+        return out
+    left, right = _evaluate(tree[1], ring), _evaluate(tree[2], ring)
+    return left + right if tree[0] == "+" else left - right if tree[0] == "-" else left * right
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TREES, st.data())
+def test_parse_matches_polynomial_operators(tree, data):
+    text = _render(tree, 1, lambda: data.draw(st.booleans()))
+    p = parse_poly(text, RING_XY)
+    assert p == _evaluate(tree, RING_XY), text
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert parse_poly(str(p), RING_XY) == p
 
 
 def _polys(ring, max_exp=3, max_terms=4):
