@@ -14,7 +14,9 @@ Every constructor checks d o d = 0 exactly; building an inconsistent
 complex raises ComplexInvariantError.  The constructors whose size can grow
 exponentially in their input (`tensor`, `exterior_algebra`, `sym_two_term`)
 count the generators they would build first and raise WorkLimitError,
-before allocating anything, above MAX_GENERATORS.
+before allocating anything, above MAX_GENERATORS.  Every complex in the
+Koszul subset layout, `sym_two_term` and those of `zerolocus`, comes from
+one builder, `contraction_complex`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "direct_sum",
     "exterior_algebra",
     "koszul_contractions",
+    "contraction_complex",
     "sym_two_term",
     "twist_complex",
     "identity_chain_map",
@@ -380,6 +383,33 @@ def koszul_contractions(sub: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]
     return [(k, sub[:p] + sub[p + 1:], -1 if p % 2 else 1) for p, k in enumerate(sub)]
 
 
+def contraction_complex(ring: GradedRing, section, subsets: Mapping[int, list],
+                        terms: Mapping[int, GradedFreeModule]) -> Complex:
+    """The complex on terms whose differential contracts with the section.
+
+    subsets[i] lists the ascending index subsets spanning terms[i], in its
+    order.  e_sub goes to the sum of sign * section[k] * e_(sub without k)
+    over `koszul_contractions(sub)`, each listed in subsets[i + 1] if present.
+    """
+    diffs = {}
+    zero = ring.zero()
+    for i in sorted(subsets):
+        if (i + 1) not in subsets:
+            continue
+        src, tgt = subsets[i], subsets[i + 1]
+        index = {sub: rr for rr, sub in enumerate(tgt)}
+        rows = [[zero] * len(src) for _ in tgt]
+        for col, sub in enumerate(src):
+            for j, reduced, sign in koszul_contractions(sub):
+                entry = section[j]
+                if entry.is_zero():
+                    continue
+                rr = index[reduced]
+                rows[rr][col] = rows[rr][col] + (entry if sign == 1 else -entry)
+        diffs[i] = PolyMatrix(terms[i], terms[i + 1], rows)
+    return Complex(ring, terms, diffs)
+
+
 def sym_two_term(a: Complex, n: int) -> Complex:
     """n-th symmetric power (characteristic 0) of a two-term complex in degrees -1, 0.
 
@@ -399,36 +429,12 @@ def sym_two_term(a: Complex, n: int) -> Complex:
     r = bundle.rank
     has_line = line.rank == 1
     line_twist = line.twists[0] if has_line else 0
-    d = a.differential(-1)
-    section = [d.entries[0][j] for j in range(r)] if has_line else []
-    check_generators(sum(comb(r, i) for i in range(min(n, r) + 1) if has_line or i == n))
-
-    subsets = {}
-    terms = {}
-    for i in range(min(n, r) + 1):
-        m = n - i
-        if m > 0 and not has_line:
-            continue
-        subs = list(itertools.combinations(range(r), i))
-        twists = tuple(sum(bundle.twists[j] for j in sub) + m * line_twist
-                       for sub in subs)
-        if twists:
-            subsets[-i] = subs
-            terms[-i] = GradedFreeModule(ring, twists)
-    diffs = {}
-    zero = ring.zero()
-    for i in sorted(subsets):
-        if (i + 1) not in subsets or not has_line:
-            continue
-        src, tgt = subsets[i], subsets[i + 1]
-        index = {sub: rr for rr, sub in enumerate(tgt)}
-        rows = [[zero] * len(src) for _ in tgt]
-        for col, sub in enumerate(src):
-            for j, reduced, sign in koszul_contractions(sub):
-                entry = section[j]
-                if entry.is_zero():
-                    continue
-                rr = index[reduced]
-                rows[rr][col] = rows[rr][col] + (entry if sign == 1 else -entry)
-        diffs[i] = PolyMatrix(terms[i], terms[i + 1], rows)
-    return Complex(ring, terms, diffs)
+    section = a.differential(-1).entries[0] if has_line else ()
+    # Lambda^i (x) Sym^(n-i) for i <= min(n, r); only i = n without the line
+    powers = [i for i in range(min(n, r) + 1) if has_line or i == n]
+    check_generators(sum(comb(r, i) for i in powers))
+    subsets = {-i: list(itertools.combinations(range(r), i)) for i in powers}
+    terms = {i: GradedFreeModule(ring, tuple(
+                 sum(bundle.twists[j] for j in sub) + (n + i) * line_twist for sub in subs))
+             for i, subs in subsets.items()}
+    return contraction_complex(ring, section, subsets, terms)

@@ -1,21 +1,21 @@
 """Groebner bases of homogeneous ideals over Q, and Hilbert series of monomial ideals.
 
 `groebner_basis` is homogeneous Buchberger in weighted grevlex, with normal
-selection and the product criterion, truncated above a degree;
-`groebner_failure` certifies a basis exactly up to that degree (Buchberger's
-criterion on every S-pair the product criterion leaves, and membership of
-every input).  Both raise
-`GroebnerWorkLimit` past named work limits.  `hilbert_numerator` and
-`monomial_height` read the Hilbert series and the height of the ideal of
-the leading monomials without enumerating monomials.  `homology` imports
-this module inside the Koszul table, so importing the package does not
-load it.
+selection and the product criterion, truncated above a degree.  It returns
+the basis in the one form its certificate and its readers use: (leading
+key, primitive integer polynomial on grevlex keys) pairs.
+`groebner_failure` certifies such a basis exactly up to that degree
+(Buchberger's criterion on every S-pair the product criterion leaves, and
+membership of every input).  Both raise `GroebnerWorkLimit` past named
+work limits.  `hilbert_numerator` and `monomial_height` read the Hilbert
+series and the height of the ideal of the leading monomials without
+enumerating monomials.  `homology` imports this module inside the Koszul
+table, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd
 from operator import add
 from typing import Sequence
@@ -30,7 +30,6 @@ __all__ = [
     "MAX_GROEBNER_BITS",
     "groebner_basis",
     "groebner_failure",
-    "leading_monomial",
     "hilbert_numerator",
     "monomial_height",
 ]
@@ -75,17 +74,14 @@ def _grevlex_key(exps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-e for e in reversed(exps))
 
 
-def leading_monomial(p: Polynomial) -> tuple[int, ...]:
-    """The leading exponent vector of a nonzero homogeneous polynomial in weighted grevlex."""
-    return max(p.terms, key=_grevlex_key)
-
-
 # Buchberger's algorithm works on polynomials as {grevlex key: int} dicts,
 # so the leading term is the largest key, a product of monomials is the sum
 # of their keys, and m divides n when key(n) <= key(m) in every place.  Each
 # is kept up to a nonzero rational factor, which changes neither its leading
 # monomial nor whether it is 0; integer arithmetic measured 3-5x faster than
-# Fraction arithmetic on the same bases.
+# Fraction arithmetic on the same bases.  A basis element is kept, and
+# returned, with its leading key: a (leading key, polynomial) pair.
+_Keyed = tuple[tuple[int, ...], dict]
 
 
 def _keyed(p: Polynomial) -> dict:
@@ -172,7 +168,7 @@ def _lcm_degree(weights: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]
     return -sum(w * e for w, e in zip(weights, map(min, a, b)))
 
 
-def groebner_basis(polys: Sequence[Polynomial], max_degree: int) -> list[Polynomial]:
+def groebner_basis(polys: Sequence[Polynomial], max_degree: int) -> list[_Keyed]:
     """A Groebner basis in weighted grevlex of the ideal of nonzero homogeneous
     polys, in degrees up to max_degree.
 
@@ -183,24 +179,24 @@ def groebner_basis(polys: Sequence[Polynomial], max_degree: int) -> list[Polynom
     product criterion).  So no leading monomial of the result divides
     another.  Inputs and pairs above max_degree are not taken: the result
     is a Groebner basis in degrees up to max_degree, whose leading monomials
-    generate in(I) in those degrees and a subideal of it above.  The
-    elements are primitive integer polynomials.  Raises GroebnerWorkLimit
-    when the work passes MAX_GROEBNER_STEPS term updates,
-    MAX_GROEBNER_PAIRS reduced S-pairs, MAX_GROEBNER_BASIS elements or
-    MAX_GROEBNER_BITS bits in a coefficient.  The result is not certified
+    generate in(I) in those degrees and a subideal of it above.  Each
+    element is a (leading key, polynomial) pair, the polynomial primitive and
+    integer on grevlex keys (`_grevlex_key` turns a key back into exponents).
+    Raises GroebnerWorkLimit when the work passes MAX_GROEBNER_STEPS term
+    updates, MAX_GROEBNER_PAIRS reduced S-pairs, MAX_GROEBNER_BASIS elements
+    or MAX_GROEBNER_BITS bits in a coefficient.  The result is not certified
     here; see `groebner_failure`.
     """
     if not polys:
         return []
-    ring = polys[0].ring
-    weights = ring.degrees[::-1]
+    weights = polys[0].ring.degrees[::-1]
     steps = _Steps()
     # (degree, order of arrival, an input polynomial or a pair of basis indices)
     queue = [(p.homogeneous_degree(), k, _keyed(p)) for k, p in enumerate(polys)
              if p.homogeneous_degree() <= max_degree]
     heapq.heapify(queue)
     arrivals = len(queue)
-    basis: list = []
+    basis: list[_Keyed] = []
     pairs = 0
     while queue:
         _, _, item = heapq.heappop(queue)
@@ -225,41 +221,42 @@ def groebner_basis(polys: Sequence[Polynomial], max_degree: int) -> list[Polynom
                 heapq.heappush(queue, (degree, arrivals, (k, len(basis))))
                 arrivals += 1
         basis.append((lead, terms))
-    return [Polynomial(ring, {_grevlex_key(k): Fraction(v) for k, v in terms.items()})
-            for _, terms in basis]
+    return basis
 
 
-def groebner_failure(basis: Sequence[Polynomial], polys: Sequence[Polynomial],
+def groebner_failure(basis: Sequence[_Keyed], polys: Sequence[Polynomial],
                      max_degree: int) -> "str | None":
-    """Why basis is not a Groebner basis of the ideal of polys in degrees up to
-    max_degree, or None when it is one.
+    """Why basis, (leading key, polynomial) pairs as `groebner_basis` gives
+    them, is not a Groebner basis of the ideal of polys (over one ring, and
+    not empty when basis is not) in degrees up to max_degree, or None when
+    it is one.
 
     Buchberger's criterion, checked on every S-pair of degree up to
     max_degree whose leading monomials share a variable: each reduces to 0
     by the basis.  A pair with coprime leading monomials reduces to 0 by
     its own two elements (the product criterion; Cox, Little and O'Shea,
     ch. 2 sec. 9, Prop. 4), so it is skipped.  For homogeneous polynomials
-    that makes the basis a Groebner basis in those degrees.  Then each nonzero input of degree up to max_degree reduces to
-    0, so the ideal of the basis holds those inputs.  A basis from
-    `groebner_basis` lies in the ideal of its inputs by construction, so the
-    two ideals are then equal in those degrees.  Raises GroebnerWorkLimit
-    past MAX_GROEBNER_STEPS term updates, so no answer is given unchecked.
+    that makes the basis a Groebner basis in those degrees.  Then each
+    nonzero input of degree up to max_degree reduces to 0, so the ideal of
+    the basis holds those inputs.  A basis from `groebner_basis` lies in
+    the ideal of its inputs by construction, so the two ideals are then
+    equal in those degrees.  Raises GroebnerWorkLimit past
+    MAX_GROEBNER_STEPS term updates, so no answer is given unchecked.
     """
-    weights = basis[0].ring.degrees[::-1] if basis else ()
-    pairs = [(max(g), g) for g in map(_keyed, basis)]
+    weights = polys[0].ring.degrees[::-1] if polys else ()
     steps = _Steps()
-    for j in range(len(pairs)):
+    for j in range(len(basis)):
         for k in range(j):
-            a, b = pairs[k][0], pairs[j][0]
+            a, b = basis[k][0], basis[j][0]
             coprime = not any(x and y for x, y in zip(a, b))
             if coprime or _lcm_degree(weights, a, b) > max_degree:
                 continue
-            if _reduce(_s_polynomial(pairs[k], pairs[j]), pairs, steps, top_only=True):
+            if _reduce(_s_polynomial(basis[k], basis[j]), basis, steps, top_only=True):
                 return f"the S-pair of elements {k} and {j} does not reduce to 0"
     for k, p in enumerate(polys):
         if p.is_zero() or p.homogeneous_degree() > max_degree:
             continue
-        if _reduce(_keyed(p), pairs, steps, top_only=True):
+        if _reduce(_keyed(p), basis, steps, top_only=True):
             return f"input {k} does not reduce to 0"
     return None
 

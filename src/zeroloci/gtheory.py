@@ -13,6 +13,8 @@ tensor.  So a class is read off the terms (the Koszul class off the
 exterior powers of the entries) or taken as a product of classes.  The
 homology routes read Koszul tables (`homology.koszul_table`), which build a
 differential only for the rank cells a Groebner basis of the entries leaves.
+A truncated sym-GA check compares such a table with that of the invariants,
+built directly (`zerolocus.sym_cofib_invariants`).
 
 The excess-intersection identity is proved, not sampled: a chain
 isomorphism from the self-intersection kos(f, f) (the entries listed
@@ -40,7 +42,6 @@ from .complexes import (
 from .homology import (
     DimComparison,
     HilbertTable,
-    _koszul_table,
     compare_tables,
     homology_dimensions,
     koszul_table,
@@ -49,9 +50,8 @@ from .polyalg import GradedFreeModule, GradedRing, ParseError, RingMismatch
 from .zerolocus import (
     PresentationError,
     ZeroLocusPresentation,
-    _sym_subcomplex,
-    koszul_complex,
     koszul_terms,
+    sym_cofib_invariants,
 )
 
 __all__ = [
@@ -402,17 +402,17 @@ def verify_sym_ga(p: ZeroLocusPresentation, cutoff: int,
 
     Untruncated, the invariants are the Koszul complex itself: one table,
     reported on both sides.  Truncated symmetric powers give a proper
-    subcomplex of the same Koszul complex, built once, and then the two
-    tables are compared.
+    subcomplex of the Koszul complex, built directly; its table is compared
+    with the Koszul table, which builds the Koszul complex only for the rank
+    cells a Groebner basis of the entries leaves.
     """
     if n_max is not None and n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max is None or n_max >= p.rank:
         table = koszul_table(p, cutoff)
         return DimComparison(True, None, table, table)
-    kos = koszul_complex(p)
-    table_a = homology_dimensions(_sym_subcomplex(p, kos, n_max), cutoff)
-    table_b = _koszul_table(p, cutoff, kos)
+    table_a = homology_dimensions(sym_cofib_invariants(p, n_max).complex, cutoff)
+    table_b = koszul_table(p, cutoff)
     witness = compare_tables(table_a, table_b)
     return DimComparison(witness is None, witness, table_a, table_b)
 

@@ -12,8 +12,9 @@ exactly, gives the Hilbert function of R/I, hence rank(d^-1)_d =
 dim R_d - dim (R/I)_d, and the grade of I; depth sensitivity gives
 H^-i = 0 for i > r - grade, hence the ranks of d^-i for those i from the
 top down.  Only the cells d^-i with 2 <= i <= r - grade are left to the
-rank route below, and a regular sequence (grade r) leaves none; past the
-Groebner work limits every cell is.
+rank route below, and only they build the Koszul complex; a regular
+sequence (grade r) leaves none, and past the Groebner work limits every
+cell is.
 
 A rank cell below MODULAR_MIN_ENTRIES entries (rows x columns) is reduced
 exactly over Q.  A larger cell takes its rank mod a prime, which is a lower
@@ -244,9 +245,10 @@ def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
     return _table(cutoff, dims, _ranks(c, degrees))
 
 
-def _certify(basis: list[Polynomial], entries: list[Polynomial], max_degree: int) -> None:
-    """Raise ComplexInvariantError unless basis is a Groebner basis of the
-    entries' ideal in degrees up to max_degree."""
+def _certify(basis: list, entries: list[Polynomial], max_degree: int) -> None:
+    """Raise ComplexInvariantError unless basis, as `groebner.groebner_basis`
+    gives it, is a Groebner basis of the entries' ideal in degrees up to
+    max_degree."""
     from . import groebner
 
     failure = groebner.groebner_failure(basis, entries, max_degree)
@@ -273,7 +275,7 @@ def _hilbert_and_grade(ring: GradedRing, entries: list[Polynomial],
         _certify(basis, entries, max_degree)
     except groebner.GroebnerWorkLimit:
         return None
-    lead = [groebner.leading_monomial(g) for g in basis]
+    lead = [groebner._grevlex_key(key) for key, _ in basis]
     return groebner.hilbert_numerator(ring, lead), groebner.monomial_height(lead)
 
 
@@ -301,13 +303,6 @@ def koszul_table(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
     limits apply first, as in homology_dimensions, and MAX_CELL_ENTRIES,
     before the Koszul complex is built, to the cells still computed.
     """
-    return _koszul_table(p, cutoff, None)
-
-
-def _koszul_table(p: ZeroLocusPresentation, cutoff: int,
-                  kos: Optional[Complex]) -> HilbertTable:
-    """koszul_table(p, cutoff), for a caller that holds koszul_complex(p) as
-    kos already; built here, when a rank cell is left, if kos is None."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     terms = koszul_terms(p)
@@ -346,7 +341,7 @@ def _koszul_table(p: ZeroLocusPresentation, cutoff: int,
                 ranks[i, d] = 0
     if cells:
         _check_cells(dims, cells)
-        ranks = _ranks(koszul_complex(p) if kos is None else kos, degrees, ranks)
+        ranks = _ranks(koszul_complex(p), degrees, ranks)
     return _table(cutoff, dims, ranks)
 
 

@@ -6,9 +6,10 @@ Polynomials carry a single positive Z-grading (each variable has a weight
 Terms are a dict {exponent tuple: coefficient} with no zero value;
 `_add_terms` and `_times` sum and multiply such dicts for the operators and
 for `parse_poly`, whose recursive descent keeps integer coefficients as int
-and makes one validated `Polynomial` per expression.  Homogeneous matrices between twisted free modules reduce, degree by degree,
-to finite matrices over Q, assembled as sparse integer rows (the rational
-matrix times one positive integer, so ranks are unchanged).  Two kernels take
+and makes one validated `Polynomial` per expression.  Homogeneous matrices
+between twisted free modules reduce, degree by degree, to finite matrices
+over Q, assembled as sparse integer rows (the rational matrix times one
+positive integer, so ranks are unchanged).  Two kernels take
 their rank: `rational_rank`, exact sparse integer row reduction with gcd
 normalisation, and `modular_rank`, dense elimination mod the prime MODULUS
 in numpy int64, whose result is only a lower bound on the rank over Q;
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, log10
-from operator import add
+from operator import add, index
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -230,12 +231,15 @@ class Polynomial:
     def __init__(self, ring: GradedRing, terms: Mapping[tuple[int, ...], Fraction]):
         self.ring = ring
         self.terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in terms.items():
+        for key, c in terms.items():
             c = Fraction(c)
             if c:
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != ring.nvars or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent vector {exps} for {ring!r}")
+                try:
+                    exps = tuple(map(index, key))  # int() would round 1.5 down
+                except TypeError:
+                    exps = None
+                if exps is None or len(exps) != ring.nvars or any(e < 0 for e in exps):
+                    raise ValueError(f"bad exponent vector {key} for {ring!r}")
                 _add_terms(self.terms, {exps: c})
 
     # -- predicates ------------------------------------------------------
@@ -362,7 +366,7 @@ class Polynomial:
 
 # a token, or `bad`: the first character that starts none
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
+    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 def _tokenize(text: str):

@@ -4,17 +4,19 @@ A presentation is a graded ring together with two lists of homogeneous
 entries: the ambient list cuts out a derived ambient space as an iterated
 zero locus over affine space, and the section list gives the components
 of a section of a twisted free bundle over that ambient.  The associated
-Koszul complex computes the derived quotient; with a free bundle every
-complex built here is bounded, and deliberately shortened symmetric-power
-data is marked by an explicit truncation flag rather than an error.
+Koszul complex computes the derived quotient.  It and the symmetric-power
+invariants, a subcomplex of it when deliberately shortened (marked by an
+explicit truncation flag rather than an error), are built directly in one
+subset layout by `complexes.contraction_complex`; all are bounded.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
-from .complexes import Complex, exterior_algebra, sym_two_term, tensor
+from .complexes import Complex, check_generators, contraction_complex, exterior_algebra, tensor
 from .polyalg import GradedFreeModule, GradedRing, Polynomial, PolyMatrix, RingMismatch
 
 __all__ = [
@@ -112,12 +114,22 @@ class SymInvariantsResult:
     truncated: bool
 
 
-def _cosection(ring: GradedRing, entries: tuple[SectionEntry, ...]) -> Complex:
-    """[(+)_k R(-d_k) --(f_k)--> R] in degrees -1, 0, one generator of twist d_k per entry."""
-    bundle = GradedFreeModule(ring, tuple(degree for _, degree in entries))
-    line = GradedFreeModule(ring, (0,))
-    cosection = PolyMatrix(bundle, line, [[poly for poly, _ in entries]])
-    return Complex(ring, {-1: bundle, 0: line}, {-1: cosection})
+def _koszul_layout(p: ZeroLocusPresentation, n_max: int) -> Complex:
+    """The subcomplex of the Koszul complex of p spanned by the subsets of all
+    entries with at most n_max section entries (all of it for n_max >= rank),
+    degree -n in lexicographic order, section entries after the ambient ones.
+    Contraction keeps the bound.  Raises WorkLimitError above MAX_GENERATORS
+    before building anything.
+    """
+    ambient, r = len(p.ambient), len(p.all_entries)
+    check_generators(2 ** ambient * sum(comb(p.rank, s) for s in range(min(n_max, p.rank) + 1)))
+    degrees = p.all_degrees
+    subsets = {-n: [sub for sub in itertools.combinations(range(r), n)
+                    if sum(k >= ambient for k in sub) <= n_max]
+               for n in range(min(r, ambient + n_max) + 1)}
+    terms = {i: GradedFreeModule(p.ring, tuple(sum(degrees[k] for k in sub) for sub in subs))
+             for i, subs in subsets.items()}
+    return contraction_complex(p.ring, [f for f, _ in p.all_entries], subsets, terms)
 
 
 def koszul_complex(p: ZeroLocusPresentation) -> Complex:
@@ -125,7 +137,7 @@ def koszul_complex(p: ZeroLocusPresentation) -> Complex:
 
     Up to three entries this equals the tensor of their two-term complexes.
     """
-    return sym_two_term(_cosection(p.ring, p.all_entries), len(p.all_entries))
+    return _koszul_layout(p, p.rank)
 
 
 def koszul_terms(p: ZeroLocusPresentation) -> dict[int, GradedFreeModule]:
@@ -147,31 +159,13 @@ def sym_cofib_invariants(p: ZeroLocusPresentation, n_max: int) -> SymInvariantsR
     (the line generator has twist 0).  Tensored with the ambient Koszul
     complex they are the subcomplex of the Koszul complex spanned by the
     subsets with at most top section entries (e_A (x) e_B -> e_(A u B)
-    needs no sign), which is built directly, in the Koszul layout;
-    untruncated (n_max >= rank) it is the Koszul complex itself.
+    needs no sign), built directly in the Koszul layout, without the rest
+    of the Koszul complex; untruncated (n_max >= rank) it is the Koszul
+    complex itself.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    kos = koszul_complex(p)
-    if n_max >= p.rank:
-        return SymInvariantsResult(kos, truncated=False)
-    return SymInvariantsResult(_sym_subcomplex(p, kos, n_max), truncated=True)
-
-
-def _sym_subcomplex(p: ZeroLocusPresentation, kos: Complex, n_max: int) -> Complex:
-    """The subcomplex of kos, the Koszul complex of p, spanned by the subsets
-    with at most n_max section entries: the truncated invariants."""
-    # degree -n spans the n-subsets of all entries in lexicographic order,
-    # the section entries numbered after the ambient ones
-    kept = {i: [k for k, sub in enumerate(itertools.combinations(range(len(p.all_entries)), -i))
-                if sum(j >= len(p.ambient) for j in sub) <= n_max]
-            for i in kos.support}
-    terms = {i: GradedFreeModule(p.ring, tuple(kos.term(i).twists[k] for k in cols))
-             for i, cols in kept.items()}
-    diffs = {i: PolyMatrix(terms[i], terms[i + 1],
-                           [[d.entries[row][col] for col in kept[i]] for row in kept[i + 1]])
-             for i, d in kos.differentials.items()}
-    return Complex(p.ring, terms, diffs)
+    return SymInvariantsResult(_koszul_layout(p, n_max), truncated=n_max < p.rank)
 
 
 def critical_locus(w: Polynomial) -> ZeroLocusPresentation:

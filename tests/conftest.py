@@ -5,7 +5,9 @@ Fraction, used to cross-check the package's rank kernel (sparse integer
 elimination with gcd-normalised rows); `dense_matmul` is the dense triple
 loop that the package's sparse `PolyMatrix.__matmul__` replaced;
 `tensor_in_subset_layout` reorders a tensor product of two Koszul-layout
-complexes into the one subset layout the package builds directly.
+complexes into the one subset layout the package builds directly, and
+`cosection` is the two-term complex whose symmetric powers (`sym_two_term`)
+and tensor powers are the oracles of that layout.
 The corpus covers regular, repeated, non-regular, zero-section and
 derived-ambient presentations.
 """
@@ -65,6 +67,14 @@ def dense_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
             row.append(acc)
         rows.append(row)
     return PolyMatrix(b.source, a.target, rows)
+
+
+def cosection(ring: GradedRing, entries) -> Complex:
+    """[(+)_k R(-d_k) --(f_k)--> R] in degrees -1, 0, one generator of twist d_k per entry."""
+    bundle = GradedFreeModule(ring, tuple(degree for _, degree in entries))
+    line = GradedFreeModule(ring, (0,))
+    map_ = PolyMatrix(bundle, line, [[poly for poly, _ in entries]])
+    return Complex(ring, {-1: bundle, 0: line}, {-1: map_})
 
 
 def tensor_in_subset_layout(a: Complex, b: Complex, width: int, height: int) -> Complex:

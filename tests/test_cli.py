@@ -215,6 +215,14 @@ def test_main_parse_error_exit_two(tmp_path, capsys):
     assert "position" in err
 
 
+def test_main_non_ascii_digit_exit_two(tmp_path, capsys):
+    path = tmp_path / "problem.zlp"
+    path.write_bytes("[ring]\nvariables = x\ndegrees = 1\n[section]\n"
+                     "entries = \u0663*x : 1\n[task]\nkind = gclass\n".encode("utf-8"))
+    assert main([str(path)]) == 2
+    assert "unexpected character" in capsys.readouterr().err
+
+
 def test_main_deep_nesting_exit_two(tmp_path, capsys):
     entry = "(" * 400 + "x" + ")" * 400
     path = write(tmp_path, "[ring]\nvariables = x\ndegrees = 1\n[section]\n"
@@ -243,21 +251,22 @@ def test_main_rank_cell_limit_exit_two(tmp_path, capsys):
 
 
 def test_class_identities_leave_numpy_unloaded(tmp_path):
-    # numpy is imported by the modular rank kernel only; a run without large rank
-    # cells must not pay for its import
+    # numpy is imported by the modular rank kernel only, and the groebner module by
+    # the Koszul table only; a run without either must not pay for their import
     path = write(tmp_path, NON_REGULAR.format(kind="verify-lefschetz") + "module = x : 1\n")
     script = ("import sys\n"
               "import zeroloci\n"
-              "imported = 'numpy' in sys.modules\n"
+              "loaded = lambda: ('numpy' in sys.modules, 'zeroloci.groebner' in sys.modules)\n"
+              "imported = loaded()\n"
               "from zeroloci.cli import main\n"
               "code = main([sys.argv[1]])\n"
-              "print(imported, code, 'numpy' in sys.modules)\n")
+              "print(imported, code, loaded())\n")
     env = {**os.environ, "PYTHONPATH": str(Path(zeroloci.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script, path], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "status:  PASS" in done.stdout
-    assert done.stdout.splitlines()[-1] == "False 0 False"
+    assert done.stdout.splitlines()[-1] == "(False, False) 0 (False, False)"
 
 
 @pytest.mark.parametrize("fault", [CrossCheckError, ComplexInvariantError, KeyError])

@@ -26,6 +26,7 @@ from zeroloci.complexes import (
 from zeroloci.gtheory import kclass_of_complex
 from zeroloci.homology import homology_dimensions
 from zeroloci.polyalg import GradedFreeModule, PolyMatrix, parse_poly
+from zeroloci.zerolocus import ZeroLocusPresentation, koszul_complex
 
 from conftest import RING_X, RING_XY, random_homogeneous
 
@@ -299,6 +300,8 @@ def test_generator_limit_refuses_before_building():
                         {-1: PolyMatrix(bundle, line, [[x] * 11])})
     with pytest.raises(WorkLimitError, match="2048 generators"):
         sym_two_term(cosection, 11)
+    with pytest.raises(WorkLimitError, match="2048 generators"):
+        koszul_complex(ZeroLocusPresentation(RING_X, ((x, 1),) * 5, ((x, 1),) * 6))
     a = exterior_algebra(GradedFreeModule(RING_X, (1,) * 6), 6)
     b = exterior_algebra(GradedFreeModule(RING_X, (1,) * 5), 5)
     with pytest.raises(WorkLimitError, match=f"2048 generators, more than the limit of "

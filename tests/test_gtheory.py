@@ -405,9 +405,9 @@ def _count_koszul_builds_and_tables(monkeypatch) -> dict[str, int]:
             return original(*args)
         return wrapper
 
-    for module in (zerolocus, gtheory, homology):
+    for module in (zerolocus, homology):
         monkeypatch.setattr(module, "koszul_complex", counted("koszul", module.koszul_complex))
-    for name in ("homology_dimensions", "koszul_table", "_koszul_table"):
+    for name in ("homology_dimensions", "koszul_table"):
         monkeypatch.setattr(gtheory, name, counted("table", getattr(gtheory, name)))
     return calls
 
@@ -432,6 +432,14 @@ def test_sym_ga_truncated_builds_one_complex_and_two_tables(monkeypatch):
     p = pres(RING_XY, [("x*y", 2), ("y^2", 2)], ambient=[("x", 1), ("y", 1), ("x + y", 1)])
     assert not verify_sym_ga(p, 6, n_max=1).passed
     assert calls == {"koszul": 1, "table": 2}
+
+
+def test_sym_ga_truncated_regular_builds_no_complex(monkeypatch):
+    # the invariants are built directly, and the Koszul table of a regular
+    # sequence needs no rank cell, so the Koszul complex is never built
+    calls = _count_koszul_builds_and_tables(monkeypatch)
+    assert not verify_sym_ga(pres(RING_XY, [("y", 1)], ambient=[("x", 1)]), 6, n_max=0).passed
+    assert calls == {"koszul": 0, "table": 2}
 
 
 def test_sym_ga_truncated_three_entry_ambient_compares_two_tables():

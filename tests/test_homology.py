@@ -322,7 +322,8 @@ def test_groebner_certificate_refuses_a_basis_short_of_one_element():
     # the certificate checks pairs and inputs up to and including its degree
     entries = [parse_poly(t, RING_XYZ) for t in ("x^2 - y*z", "x*y - z^2")]
     basis = groebner_basis(entries, 10)
-    assert [g.homogeneous_degree() for g in basis] == [2, 2, 3]
+    # a leading key is the exponent vector negated (and reversed)
+    assert [-sum(lead) for lead, _ in basis] == [2, 2, 3]
     homology._certify(basis, entries, 10)
     with pytest.raises(ComplexInvariantError, match="S-pair"):
         homology._certify(basis[:-1], entries, 3)

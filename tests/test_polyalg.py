@@ -85,6 +85,20 @@ def test_parse_nesting_bound():
     assert err.value.position == 100
 
 
+def test_polynomial_refuses_non_integer_exponents():
+    # int() would round 1.5 down to 1: x, and 2*x beside a true x
+    for terms in ({(1.5, 0): 1}, {(1.5, 0): 1, (1, 0): 1}, {(Fraction(1), 0): 1}):
+        with pytest.raises(ValueError, match=r"bad exponent vector \(.*\) for"):
+            Polynomial(RING_XY, terms)
+
+
+def test_parse_takes_ascii_digits_only():
+    # an Arabic-Indic three is a Unicode digit, but no literal of the grammar
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_poly("\u0663*x", RING_XY)
+    assert err.value.position == 0
+
+
 def test_parse_rejects_malformed():
     for text in ("x y", "x ** 2", "x ^ -1", "(x", "3x", "x /2"):
         with pytest.raises(ParseError):

@@ -18,7 +18,6 @@ from zeroloci.polyalg import GradedFreeModule, parse_poly
 from zeroloci.zerolocus import (
     PresentationError,
     ZeroLocusPresentation,
-    _cosection,
     cotangent_complex,
     critical_locus,
     jacobian_data,
@@ -32,6 +31,8 @@ from conftest import (
     RING_X,
     RING_XY,
     RING_UV,
+    build_corpus,
+    cosection,
     derived_ambient_corpus,
     drawn_entries,
     tensor_in_subset_layout,
@@ -120,7 +121,7 @@ def _assert_koszul_matches_iterated_tensor(p):
     # oracle: the tensor of the entries' two-term complexes, one at a time
     oracle = unit_complex(p.ring)
     for entry in p.all_entries:
-        oracle = tensor(oracle, _cosection(p.ring, (entry,)))
+        oracle = tensor(oracle, cosection(p.ring, (entry,)))
     kos = koszul_complex(p)
     if len(p.all_entries) <= 3:
         assert kos == oracle
@@ -129,6 +130,25 @@ def _assert_koszul_matches_iterated_tensor(p):
     for i in kos.support:
         assert sorted(kos.term(i).twists) == sorted(oracle.term(i).twists)
     assert homology_dimensions(kos, 6) == homology_dimensions(oracle, 6)
+
+
+def _assert_koszul_is_top_symmetric_power(p):
+    # oracle: Sym^r of the cosection of all r entries, by the general two-term rule
+    assert koszul_complex(p) == sym_two_term(cosection(p.ring, p.all_entries),
+                                             len(p.all_entries))
+
+
+def test_koszul_is_top_symmetric_power_on_corpus():
+    for p in build_corpus() + derived_ambient_corpus():
+        _assert_koszul_is_top_symmetric_power(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([RING_XY, RING_UV]), st.lists(ENTRY_DRAWS, max_size=2),
+       st.lists(ENTRY_DRAWS, max_size=4))
+def test_koszul_is_top_symmetric_power_random(ring, ambient, section):
+    _assert_koszul_is_top_symmetric_power(
+        ZeroLocusPresentation(ring, drawn_entries(ring, ambient), drawn_entries(ring, section)))
 
 
 def test_koszul_matches_iterated_tensor_on_corpus(corpus):
@@ -206,7 +226,7 @@ def sym_invariants_oracle(p, n_max):
     """The ambient Koszul complex and Sym^top of the cofibre, whose tensor the
     invariants are up to the order of the basis."""
     ambient = koszul_complex(ZeroLocusPresentation(p.ring, (), p.ambient))
-    return ambient, sym_two_term(_cosection(p.ring, p.section), min(n_max, p.rank))
+    return ambient, sym_two_term(cosection(p.ring, p.section), min(n_max, p.rank))
 
 
 def _assert_sym_invariants_match_oracle(p, cutoff):
