@@ -31,12 +31,10 @@ JSON document on standard output.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
@@ -55,7 +53,7 @@ from .gtheory import (
     complex_from_kclass,
 )
 from .homology import HilbertTable, default_cutoff, koszul_table
-from .polyalg import GradedRing, ParseError, parse_poly
+from .polyalg import GradedRing, ParseError, Record, parse_poly
 from .zerolocus import (
     PresentationError,
     ZeroLocusPresentation,
@@ -88,33 +86,31 @@ class ProblemFileError(ValueError):
     """Malformed problem file; message carries the line number."""
 
 
-@dataclass
-class ProblemFile:
-    ring: GradedRing
-    ambient: list[tuple]
-    section: list[tuple]
-    kind: str
-    cutoff: Optional[int]
-    sym_max: Optional[int]
-    module_entries: Optional[list[tuple]]
-    kappa: Optional[KClass]
-    potential_text: Optional[str]
+class ProblemFile(Record):
+    __slots__ = ("ring", "ambient", "section", "kind", "cutoff", "sym_max",
+                 "module_entries", "kappa", "potential_text")
+    __setattr__ = object.__setattr__  # mutable: run sets the cutoff
+
+    def __init__(self, ring: GradedRing, ambient: list[tuple], section: list[tuple], kind: str,
+                 cutoff: Optional[int], sym_max: Optional[int], module_entries: Optional[list],
+                 kappa: Optional[KClass], potential_text: Optional[str]):
+        self._init(ring, ambient, section, kind, cutoff, sym_max, module_entries, kappa,
+                   potential_text)
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Everything a run reports; the JSON and text renderings carry the same data."""
 
-    task: str
-    status: str  # PASS | FAIL | INFO
-    input_sha256: str
-    kclass: Optional[str] = None
-    tables: dict[str, HilbertTable] = field(default_factory=dict)
-    witness: Optional[dict] = None
-    presentation: Optional[dict] = None
-    notes: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
-    version: str = __version__
+    __slots__ = ("task", "status", "input_sha256", "kclass", "tables", "witness", "presentation",
+                 "notes", "elapsed_s", "version")  # status is PASS, FAIL or INFO
+    __setattr__ = object.__setattr__  # mutable: the tasks fill it in
+
+    def __init__(self, task: str, status: str, input_sha256: str, kclass: Optional[str] = None,
+                 tables: Optional[dict[str, HilbertTable]] = None, witness: Optional[dict] = None,
+                 presentation: Optional[dict] = None, notes: Optional[list[str]] = None,
+                 elapsed_s: float = 0.0, version: str = __version__):
+        self._init(task, status, input_sha256, kclass, {} if tables is None else tables,
+                   witness, presentation, [] if notes is None else notes, elapsed_s, version)
 
     @property
     def exit_code(self) -> int:
@@ -431,6 +427,7 @@ def run(path: str, cutoff: Optional[int] = None,
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    import argparse  # only the command line parses options; kept off the import path
     parser = argparse.ArgumentParser(
         prog="zeroloci",
         description="Exact zero-locus computations and identity verifiers "

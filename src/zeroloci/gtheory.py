@@ -29,7 +29,6 @@ built with, and no polynomial complex or matrix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
@@ -46,7 +45,7 @@ from .homology import (
     homology_dimensions,
     koszul_table,
 )
-from .polyalg import GradedFreeModule, GradedRing, ParseError, RingMismatch
+from .polyalg import GradedFreeModule, GradedRing, ParseError, Record, RingMismatch
 from .zerolocus import (
     PresentationError,
     ZeroLocusPresentation,
@@ -178,25 +177,26 @@ class KClass:
         return cls(coeffs)
 
 
-@dataclass(frozen=True)
-class KVerdict:
+class KVerdict(Record):
     """Exact comparison of two classes; on failure both sides are the witness."""
 
-    passed: bool
-    lhs: KClass
-    rhs: KClass
+    __slots__ = ("passed", "lhs", "rhs")
+
+    def __init__(self, passed: bool, lhs: KClass, rhs: KClass):
+        self._init(passed, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class ExcessResult:
+class ExcessResult(Record):
     """Tables of kos(f, f) and of kos(f, 0), equal by a chain isomorphism.
 
     There is no failing verdict: a certificate that fails to commute or to
     invert raises ComplexInvariantError instead.
     """
 
-    table_restricted: HilbertTable
-    table_euler: HilbertTable
+    __slots__ = ("table_restricted", "table_euler")
+
+    def __init__(self, table_restricted: HilbertTable, table_euler: HilbertTable):
+        self._init(table_restricted, table_euler)
 
 
 def kclass_of_complex(c: Complex) -> KClass:

@@ -31,7 +31,6 @@ regularity check is likewise only conclusive up to its cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .complexes import Complex, ComplexInvariantError, WorkLimitError
@@ -39,6 +38,7 @@ from .polyalg import (
     GradedFreeModule,
     GradedRing,
     Polynomial,
+    Record,
     RingMismatch,
     graded_piece_dim,
     matrix_rank_in_degree,
@@ -83,16 +83,17 @@ MAX_TABLE_CELLS = 20000
 MAX_CELL_ENTRIES = 1000000
 
 
-@dataclass(frozen=True)
-class HilbertTable:
+class HilbertTable(Record):
     """dim H^i(C)_d for min(0, lowest twist) <= d <= cutoff; absent entries are zero.
 
     The ring is positively graded, so no term has a nonzero piece below its
     lowest twist and the table misses no homology under the cutoff.
     """
 
-    cutoff: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ("cutoff", "entries")
+
+    def __init__(self, cutoff: int, entries: Optional[dict[tuple[int, int], int]] = None):
+        self._init(cutoff, {} if entries is None else entries)
 
     def dim(self, i: int, d: int) -> int:
         return self.entries.get((i, d), 0)
@@ -105,27 +106,27 @@ class HilbertTable:
         return sorted({i for i, _ in self.entries})
 
 
-@dataclass(frozen=True)
-class DimComparison:
+class DimComparison(Record):
     """Result of comparing two tables; `witness` is the first (i, d, dim_a, dim_b) mismatch."""
 
-    passed: bool
-    witness: Optional[tuple[int, int, int, int]]
-    table_a: HilbertTable
-    table_b: HilbertTable
+    __slots__ = ("passed", "witness", "table_a", "table_b")
+
+    def __init__(self, passed: bool, witness: Optional[tuple[int, int, int, int]],
+                 table_a: HilbertTable, table_b: HilbertTable):
+        self._init(passed, witness, table_a, table_b)
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+class RegularityVerdict(Record):
     """REGULAR_UP_TO_CUTOFF or NON_REGULAR with a witness (i, d, dim).
 
     A passing verdict is not a proof of regularity: homology may first
     appear above the cutoff.
     """
 
-    regular_up_to_cutoff: bool
-    cutoff: int
-    witness: Optional[tuple[int, int, int]]
+    __slots__ = ("regular_up_to_cutoff", "cutoff", "witness")
+
+    def __init__(self, regular_up_to_cutoff: bool, cutoff: int, witness: Optional[tuple]):
+        self._init(regular_up_to_cutoff, cutoff, witness)
 
     def __str__(self):
         if self.regular_up_to_cutoff:

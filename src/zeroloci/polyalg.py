@@ -20,7 +20,6 @@ in numpy int64, whose result is only a lower bound on the rank over Q;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, log10
@@ -85,26 +84,65 @@ class HomogeneityError(ValueError):
     """A matrix entry or section fails its required homogeneity."""
 
 
-@dataclass(frozen=True)
-class GradedRing:
+class Record:
+    """Frozen value class: its fields are the __slots__, set by `_init`, read by ==, hash, repr."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, which checks again
+        return type(self), self._values()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class GradedRing(Record):
     """Q[x_1, ..., x_n] with deg(x_i) = degrees[i] >= 1."""
 
-    variables: tuple[str, ...]
-    degrees: tuple[int, ...]
+    __slots__ = ("variables", "degrees", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        if len(self.variables) != len(self.degrees):
+    def __init__(self, variables: Sequence[str], degrees: Sequence[int]):
+        variables = tuple(variables)
+        try:
+            degrees = tuple(map(index, degrees))
+        except TypeError:
+            raise ValueError(f"variable degrees must be integers, not {degrees!r}") from None
+        if len(variables) != len(degrees):
             raise ValueError("one degree per variable required")
-        for name in self.variables:
+        for name in variables:
             if not _IDENT_RE.match(name):
                 raise ValueError(f"invalid variable name {name!r}")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
-        for d in self.degrees:
-            if d < 1:
-                raise ValueError("variable degrees must be >= 1")
+        if any(d < 1 for d in degrees):
+            raise ValueError("variable degrees must be >= 1")
+        self._init(variables, degrees, hash((variables, degrees)))
+
+    def _values(self) -> tuple:  # _hash is derived: __reduce__ rebuilds it through __init__
+        return self.variables, self.degrees
+
+    def __hash__(self):  # computed once: rings key the piece tables and caches below
+        return self._hash
 
     @property
     def nvars(self) -> int:
@@ -522,15 +560,16 @@ def parse_poly(text: str, ring: GradedRing) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedFreeModule:
+class GradedFreeModule(Record):
     """Direct sum of twisted copies of the ring: generator j has internal degree twists[j]."""
 
-    ring: GradedRing
-    twists: tuple[int, ...]
+    __slots__ = ("ring", "twists")
 
-    def __post_init__(self):
-        object.__setattr__(self, "twists", tuple(int(a) for a in self.twists))
+    def __init__(self, ring: GradedRing, twists: Sequence[int]):
+        try:
+            self._init(ring, tuple(map(index, twists)))
+        except TypeError:
+            raise ValueError(f"module twists must be integers, not {twists!r}") from None
 
     @property
     def rank(self) -> int:
@@ -572,7 +611,7 @@ class PolyMatrix:
         constant = (0,) * ring.nvars
         for i, row in enumerate(rows):
             for j, p in enumerate(row):
-                # identity first: the dataclass == compares both rings field by field
+                # identity first: == compares the fields of two distinct rings
                 if p.ring is not ring and p.ring != ring:
                     raise RingMismatch("matrix entry over a different ring")
                 if p.is_zero():

@@ -13,11 +13,11 @@ subset layout by `complexes.contraction_complex`; all are bounded.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
+from operator import index
 
 from .complexes import Complex, check_generators, contraction_complex, exterior_algebra, tensor
-from .polyalg import GradedFreeModule, GradedRing, Polynomial, PolyMatrix, RingMismatch
+from .polyalg import GradedFreeModule, GradedRing, Polynomial, PolyMatrix, Record, RingMismatch
 
 __all__ = [
     "PresentationError",
@@ -44,7 +44,10 @@ class PresentationError(ValueError):
 def _check_entries(ring: GradedRing, entries, label: str) -> tuple[SectionEntry, ...]:
     out = []
     for k, (poly, degree) in enumerate(entries):
-        degree = int(degree)
+        try:
+            degree = index(degree)
+        except TypeError:
+            raise PresentationError(f"{label} entry {k}: non-integer degree {degree!r}") from None
         if poly.ring != ring:
             raise PresentationError(f"{label} entry {k} lives over a different ring")
         if degree < 1:
@@ -57,8 +60,7 @@ def _check_entries(ring: GradedRing, entries, label: str) -> tuple[SectionEntry,
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ZeroLocusPresentation:
+class ZeroLocusPresentation(Record):
     """Ambient Koszul data plus a homogeneous section of a twisted free bundle.
 
     `ambient` presents the ambient space (empty means plain affine space);
@@ -66,13 +68,11 @@ class ZeroLocusPresentation:
     Zero components are allowed and rely on the declared degree.
     """
 
-    ring: GradedRing
-    ambient: tuple[SectionEntry, ...]
-    section: tuple[SectionEntry, ...]
+    __slots__ = ("ring", "ambient", "section")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ambient", _check_entries(self.ring, self.ambient, "ambient"))
-        object.__setattr__(self, "section", _check_entries(self.ring, self.section, "section"))
+    def __init__(self, ring: GradedRing, ambient: tuple, section: tuple):
+        self._init(ring, _check_entries(ring, ambient, "ambient"),
+                   _check_entries(ring, section, "section"))
 
     @property
     def all_entries(self) -> tuple[SectionEntry, ...]:
@@ -99,19 +99,22 @@ class ZeroLocusPresentation:
         return GradedFreeModule(self.ring, self.section_degrees)
 
 
-@dataclass(frozen=True)
-class JacobianData:
+class JacobianData(Record):
     """Partial derivatives of the section entries, rows indexed by ring variables."""
 
-    matrix: PolyMatrix
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: PolyMatrix):
+        self._init(matrix)
 
 
-@dataclass(frozen=True)
-class SymInvariantsResult:
+class SymInvariantsResult(Record):
     """Weight-zero symmetric-power complex; `truncated` when n_max < bundle rank."""
 
-    complex: Complex
-    truncated: bool
+    __slots__ = ("complex", "truncated")
+
+    def __init__(self, complex: Complex, truncated: bool):
+        self._init(complex, truncated)
 
 
 def _koszul_layout(p: ZeroLocusPresentation, n_max: int) -> Complex:

@@ -269,6 +269,51 @@ def test_class_identities_leave_numpy_unloaded(tmp_path):
     assert done.stdout.splitlines()[-1] == "(False, False) 0 (False, False)"
 
 
+def test_run_leaves_dataclasses_inspect_and_argparse_unloaded(tmp_path):
+    # the benchmark path (cli.run, then to_json) pays for no module the package does not use:
+    # its records are plain classes, and only main parses options.  A module the interpreter
+    # loaded before the import does not count against the package.
+    path = write(tmp_path, NON_REGULAR.format(kind="homology"))
+    script = ("import sys\n"
+              "names = ('dataclasses', 'inspect', 'argparse', 'numpy', 'zeroloci.groebner')\n"
+              "before = {name for name in names if name in sys.modules}\n"
+              "from zeroloci import cli\n"
+              "imported = {name for name in names if name in sys.modules} - before\n"
+              "code, report = cli.run(sys.argv[1])\n"
+              "report.to_json()\n"
+              "after = {name for name in names if name in sys.modules} - before\n"
+              "print(sorted(imported), code, sorted(after))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(zeroloci.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, path], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # the Koszul table of a non-regular section needs the Groebner basis, nothing else
+    assert done.stdout.splitlines()[-1] == "[] 0 ['zeroloci.groebner']"
+
+
+def test_main_help_and_unknown_option(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    assert "--cutoff" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exited:
+        main(["problem.zlp", "--no-such-flag"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+
+def test_reports_are_mutable_and_own_their_tables_and_notes():
+    a, b = cli.Report("homology", "INFO", "ab"), cli.Report(task="homology", status="INFO",
+                                                            input_sha256="ab")
+    assert a == b and a.tables is not b.tables and a.notes is not b.notes
+    a.status = "FAIL"
+    a.notes.append("n")
+    assert a != b and (a.exit_code, b.exit_code) == (1, 0) and b.notes == []
+    assert repr(b) == ("Report(task='homology', status='INFO', input_sha256='ab', kclass=None, "
+                       f"tables={{}}, witness=None, presentation=None, notes=[], elapsed_s=0.0, "
+                       f"version='{zeroloci.__version__}')")
+
+
 @pytest.mark.parametrize("fault", [CrossCheckError, ComplexInvariantError, KeyError])
 def test_main_engine_fault_exit_three(tmp_path, capsys, monkeypatch, fault):
     def broken(p, cutoff):

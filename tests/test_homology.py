@@ -1,7 +1,9 @@
 """Hilbert tables, dimension comparisons and the regularity check."""
 
+import copy
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import zeroloci
 from zeroloci import groebner, homology
 from zeroloci.complexes import ComplexInvariantError, cone, dual, identity_chain_map, tensor, zero_complex
 from zeroloci.homology import (
+    HilbertTable,
     default_cutoff,
     euler_characteristics_match,
     homology_dimensions,
@@ -60,6 +63,20 @@ def test_table_zero_differential():
     table = homology_dimensions(koszul_complex(pres(RING_X, [("0", 1)])), 3)
     assert {d: table.dim(0, d) for d in range(4)} == {0: 1, 1: 1, 2: 1, 3: 1}
     assert {d: table.dim(-1, d) for d in range(4)} == {0: 0, 1: 1, 2: 1, 3: 1}
+
+
+def test_hilbert_tables_are_immutable_and_own_their_entries():
+    a, b = HilbertTable(3), HilbertTable(cutoff=3)
+    assert a.entries == {} and a.entries is not b.entries and a == b
+    a.entries[(0, 0)] = 1  # each table has a dict of its own
+    assert b.entries == {} and a != b and a == HilbertTable(3, {(0, 0): 1})
+    assert a != HilbertTable(4, {(0, 0): 1})
+    for name in ("cutoff", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, {})
+    assert repr(a) == "HilbertTable(cutoff=3, entries={(0, 0): 1})"
+    assert repr(HilbertTable(3)) == "HilbertTable(cutoff=3, entries={})"
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a).entries is not a.entries
 
 
 # -- comparisons -------------------------------------------------------------------

@@ -1,6 +1,12 @@
 """Polynomials, graded bases and degreewise ranks."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import random
 
@@ -8,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zeroloci import polyalg
 from zeroloci.polyalg import (
     _MAX_COEFFICIENT_BITS,
     _MAX_EXPONENT,
@@ -44,6 +51,62 @@ def test_ring_rejects_bad_input():
         GradedRing(("2x",), (1,))
     with pytest.raises(ValueError):
         GradedRing(("x", "y"), (1,))
+
+
+@pytest.mark.parametrize("degree", [1.5, 1.0, "2", Fraction(5, 2), Fraction(2), None])
+def test_ring_refuses_non_integer_degrees(degree):
+    # degrees are read with operator.index, so none is truncated or parsed from text
+    with pytest.raises(ValueError, match="variable degrees must be integers"):
+        GradedRing(("x", "y"), (degree, 1))
+
+
+@pytest.mark.parametrize("twist", [2.7, 2.0, "2", Fraction(5, 2), None])
+def test_module_refuses_non_integer_twists(twist):
+    with pytest.raises(ValueError, match="module twists must be integers"):
+        GradedFreeModule(RING_W, (0, twist))
+
+
+def test_equal_rings_are_one_cache_key():
+    a, b = GradedRing(("s", "t"), (1, 3)), GradedRing(["s", "t"], [1, 3])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != GradedRing(("s", "t"), (3, 1)) and a != GradedRing(("t", "s"), (1, 3))
+    assert a != (("s", "t"), (1, 3))
+    assert graded_piece_dim(a, 40) == 14
+    tables, table = len(polyalg._PIECE_COUNTS), polyalg._PIECE_COUNTS[a]
+    assert graded_piece_dim(b, 40) == 14
+    assert len(polyalg._PIECE_COUNTS) == tables and polyalg._PIECE_COUNTS[b] is table
+
+
+def test_rings_and_modules_are_immutable_values():
+    m, n = GradedFreeModule(RING_W, [0, 2]), GradedFreeModule(RING_W, (0, 2))
+    assert m is not n and m == n and hash(m) == hash(n)
+    assert m != GradedFreeModule(RING_XY, (0, 2)) and m != GradedFreeModule(RING_W, (2, 0))
+    for obj, name in ((RING_W, "variables"), (RING_W, "degrees"), (m, "ring"), (m, "twists")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, ())
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert RING_W.degrees == (1, 2) and m.twists == (0, 2)
+    assert repr(RING_W) == "GradedRing(x:1, y:2)"
+    assert repr(m) == "GradedFreeModule(twists=[0, 2])"
+    for obj in (RING_W, m):
+        assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_unpickled_ring_hashes_as_in_its_new_process():
+    # str hashes differ between processes, so the cached ring hash must not travel
+    data = pickle.dumps(GradedRing(("s", "t"), (1, 3)))
+    script = ("import pickle, sys\n"
+              "from zeroloci.polyalg import GradedRing\n"
+              "ring = pickle.loads(sys.stdin.buffer.read())\n"
+              "print(hash(ring) == hash(GradedRing(('s', 't'), (1, 3))))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(polyalg.__file__).parents[1]),
+           "PYTHONHASHSEED": "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"}
+    done = subprocess.run([sys.executable, "-c", script], input=data, env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [b"True"]
 
 
 # -- parsing -------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Presentations, Koszul complexes, symmetric invariants and cotangent complexes."""
 
+import copy
 import itertools
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +69,28 @@ def test_presentation_rejects_nonpositive_degree():
 def test_zero_entries_keep_declared_degree():
     p = pres(RING_X, [("0", 2)])
     assert p.section_degrees == (2,)
+
+
+@pytest.mark.parametrize("degree", [1.9, 1.0, Fraction(5, 2), "1", None])
+def test_presentation_refuses_non_integer_declared_degree(degree):
+    # read with operator.index: 1.9 is not truncated to 1, nor Fraction(5, 2) to 2
+    x = parse_poly("x", RING_XY)
+    with pytest.raises(PresentationError, match="section entry 1: non-integer degree"):
+        ZeroLocusPresentation(RING_XY, (), ((x, 1), (x, degree)))
+    with pytest.raises(PresentationError, match="ambient entry 0: non-integer degree"):
+        ZeroLocusPresentation(RING_XY, ((x, degree),), ())
+
+
+def test_presentations_are_immutable_values():
+    p, q = pres(RING_XY, [("x*y", 2)], [("x", 1)]), pres(RING_XY, [("x*y", 2)], [("x", 1)])
+    assert p is not q and p == q and p != pres(RING_XY, [("x*y", 2)])
+    for name in ("ring", "ambient", "section"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+    assert p.ambient_degrees == (1,) and p.section_degrees == (2,)
+    assert pickle.loads(pickle.dumps(p)) == p and copy.deepcopy(p) == p
+    assert repr(pres(RING_X, [("x", 1)])) == (
+        "ZeroLocusPresentation(ring=GradedRing(x:1), ambient=(), section=((Polynomial(x), 1),))")
 
 
 # -- koszul complexes ------------------------------------------------------------
