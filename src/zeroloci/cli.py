@@ -31,11 +31,17 @@ JSON document on standard output.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 import time
-from typing import Optional
+
+try:  # the builtin SHA-256: hashlib's OpenSSL backend takes about 5 ms of every import
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .complexes import Complex, ComplexInvariantError, exterior_algebra
@@ -53,10 +59,11 @@ from .gtheory import (
     complex_from_kclass,
 )
 from .homology import HilbertTable, default_cutoff, koszul_table
-from .polyalg import GradedRing, ParseError, Record, parse_poly
+from .polyalg import GradedFreeModule, GradedRing, ParseError, Record, parse_poly
 from .zerolocus import (
     PresentationError,
     ZeroLocusPresentation,
+    check_entries,
     critical_locus,
 )
 
@@ -92,8 +99,8 @@ class ProblemFile(Record):
     __setattr__ = object.__setattr__  # mutable: run sets the cutoff
 
     def __init__(self, ring: GradedRing, ambient: list[tuple], section: list[tuple], kind: str,
-                 cutoff: Optional[int], sym_max: Optional[int], module_entries: Optional[list],
-                 kappa: Optional[KClass], potential_text: Optional[str]):
+                 cutoff: int | None, sym_max: int | None, module_entries: list | None,
+                 kappa: KClass | None, potential_text: str | None):
         self._init(ring, ambient, section, kind, cutoff, sym_max, module_entries, kappa,
                    potential_text)
 
@@ -105,9 +112,9 @@ class Report(Record):
                  "notes", "elapsed_s", "version")  # status is PASS, FAIL or INFO
     __setattr__ = object.__setattr__  # mutable: the tasks fill it in
 
-    def __init__(self, task: str, status: str, input_sha256: str, kclass: Optional[str] = None,
-                 tables: Optional[dict[str, HilbertTable]] = None, witness: Optional[dict] = None,
-                 presentation: Optional[dict] = None, notes: Optional[list[str]] = None,
+    def __init__(self, task: str, status: str, input_sha256: str, kclass: str | None = None,
+                 tables: dict[str, HilbertTable] | None = None, witness: dict | None = None,
+                 presentation: dict | None = None, notes: list[str] | None = None,
                  elapsed_s: float = 0.0, version: str = __version__):
         self._init(task, status, input_sha256, kclass, {} if tables is None else tables,
                    witness, presentation, [] if notes is None else notes, elapsed_s, version)
@@ -215,7 +222,7 @@ def _parse_entries(text: str, ring: GradedRing, where: str) -> list[tuple]:
 def parse_problem_file(text: str) -> ProblemFile:
     blocks: dict[str, dict[str, str]] = {}
     lines: dict[tuple[str, str], int] = {}
-    current: Optional[str] = None
+    current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -321,8 +328,8 @@ def parse_problem_file(text: str) -> ProblemFile:
 
 def _operand_complex(problem: ProblemFile, p: ZeroLocusPresentation) -> Complex:
     """The operand's Koszul terms without a differential: its class reads only the terms."""
-    operand = ZeroLocusPresentation(p.ring, (), tuple(problem.module_entries or ()))
-    return exterior_algebra(operand.bundle_dual(), operand.rank)
+    entries = check_entries(p.ring, problem.module_entries or (), "[task] module")
+    return exterior_algebra(GradedFreeModule(p.ring, [d for _, d in entries]), len(entries))
 
 
 def _presentation_echo(p: ZeroLocusPresentation) -> dict:
@@ -390,13 +397,13 @@ def _execute(kind: str, problem: ProblemFile, p: ZeroLocusPresentation,
         raise ProblemFileError(f"unsupported task kind {kind!r}")
 
 
-def run(path: str, cutoff: Optional[int] = None,
-        then: Optional[str] = None) -> tuple[int, Report]:
+def run(path: str, cutoff: int | None = None,
+        then: str | None = None) -> tuple[int, Report]:
     """Execute a problem file; returns (exit code, report)."""
     started = time.perf_counter()
     with open(path, "rb") as handle:
         raw = handle.read()
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     problem = parse_problem_file(raw.decode("utf-8"))
     if cutoff is not None:
         problem.cutoff = cutoff
@@ -426,7 +433,7 @@ def run(path: str, cutoff: Optional[int] = None,
     return report.exit_code, report
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     import argparse  # only the command line parses options; kept off the import path
     parser = argparse.ArgumentParser(
         prog="zeroloci",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from math import gcd
 from operator import add
-from typing import Sequence
+from collections.abc import Sequence
 
 from .polyalg import GradedRing, Polynomial
 

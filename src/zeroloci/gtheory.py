@@ -14,7 +14,8 @@ exterior powers of the entries) or taken as a product of classes.  The
 homology routes read Koszul tables (`homology.koszul_table`), which build a
 differential only for the rank cells a Groebner basis of the entries leaves.
 A truncated sym-GA check compares such a table with that of the invariants,
-built directly (`zerolocus.sym_cofib_invariants`).
+built directly (`chains.sym_cofib_invariants`); it and `kclass_via_homology`
+import the chain-level layer where they need it.
 
 The excess-intersection identity is proved, not sampled: a chain
 isomorphism from the self-intersection kos(f, f) (the entries listed
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping, Sequence
 
 from .complexes import (
     Complex,
@@ -38,20 +39,9 @@ from .complexes import (
     check_generators,
     koszul_contractions,
 )
-from .homology import (
-    DimComparison,
-    HilbertTable,
-    compare_tables,
-    homology_dimensions,
-    koszul_table,
-)
+from .homology import DimComparison, HilbertTable, compare_tables, koszul_table
 from .polyalg import GradedFreeModule, GradedRing, ParseError, Record, RingMismatch
-from .zerolocus import (
-    PresentationError,
-    ZeroLocusPresentation,
-    koszul_terms,
-    sym_cofib_invariants,
-)
+from .zerolocus import PresentationError, ZeroLocusPresentation, koszul_terms
 
 __all__ = [
     "KClass",
@@ -83,7 +73,7 @@ class KClass:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[dict[int, int]] = None):
+    def __init__(self, coeffs: dict[int, int] | None = None):
         clean = {}
         for k, v in (coeffs or {}).items():
             v = int(v)
@@ -218,7 +208,7 @@ def koszul_class(p: ZeroLocusPresentation) -> KClass:
     return _kclass_of_terms(koszul_terms(p))
 
 
-def kclass_via_homology(c: Complex, cutoff: Optional[int] = None) -> KClass:
+def kclass_via_homology(c: Complex, cutoff: int | None = None) -> KClass:
     """Class reconstructed from homology: sum of (-1)^i times the truncated
     Hilbert series of H^i, multiplied by the ring's denominator product.
 
@@ -234,6 +224,8 @@ def kclass_via_homology(c: Complex, cutoff: Optional[int] = None) -> KClass:
     if cutoff is None:
         cutoff = max(twists)
     cutoff = max(cutoff, max(twists))
+    from .chains import homology_dimensions
+
     return _kclass_of_table(homology_dimensions(c, cutoff), c.ring)
 
 
@@ -397,7 +389,7 @@ def verify_excess(p: ZeroLocusPresentation, cutoff: int) -> ExcessResult:
 
 
 def verify_sym_ga(p: ZeroLocusPresentation, cutoff: int,
-                  n_max: Optional[int] = None) -> DimComparison:
+                  n_max: int | None = None) -> DimComparison:
     """Weight-zero symmetric-power complex against the Koszul complex.
 
     Untruncated, the invariants are the Koszul complex itself: one table,
@@ -411,6 +403,8 @@ def verify_sym_ga(p: ZeroLocusPresentation, cutoff: int,
     if n_max is None or n_max >= p.rank:
         table = koszul_table(p, cutoff)
         return DimComparison(True, None, table, table)
+    from .chains import homology_dimensions, sym_cofib_invariants
+
     table_a = homology_dimensions(sym_cofib_invariants(p, n_max).complex, cutoff)
     table_b = koszul_table(p, cutoff)
     witness = compare_tables(table_a, table_b)

@@ -3,8 +3,8 @@
 Homology dimensions are computed cell by cell: for each cohomological
 degree i and internal degree d, two ranks over Q determine
 dim H^i(C)_d = dim(C^i)_d - rank(d^i)_d - rank(d^{i-1})_d.  One helper
-assembles every table from its ranks, and checks each rank against the
-shape of its cell and each dimension for sign.
+(`_table`) assembles every table from its ranks, and checks each rank
+against the shape of its cell and each dimension for sign.
 
 The table of a Koszul complex K(f), f = (f_1..f_r), is read mostly off
 the ideal I = (f_1..f_r) (`koszul_table`).  A Groebner basis of I, certified
@@ -12,17 +12,13 @@ exactly, gives the Hilbert function of R/I, hence rank(d^-1)_d =
 dim R_d - dim (R/I)_d, and the grade of I; depth sensitivity gives
 H^-i = 0 for i > r - grade, hence the ranks of d^-i for those i from the
 top down.  Only the cells d^-i with 2 <= i <= r - grade are left to the
-rank route below, and only they build the Koszul complex; a regular
-sequence (grade r) leaves none, and past the Groebner work limits every
-cell is.
+rank route, and only they build the Koszul complex; a regular sequence
+(grade r) leaves none, and past the Groebner work limits every cell is.
 
-A rank cell below MODULAR_MIN_ENTRIES entries (rows x columns) is reduced
-exactly over Q.  A larger cell takes its rank mod a prime, which is a lower
-bound on the rank over Q, and keeps it only when a neighbour certifies it:
-d o d = 0 holds exactly, so rank(d^i)_d <= dim(C^i)_d - rank(d^{i-1})_d
-and rank(d^i)_d <= dim(C^{i+1})_d - rank(d^{i+1})_d, where any lower bound
-may stand in for a neighbour's rank.  A modular rank equal to one of these
-upper bounds is the rank over Q; every other cell is reduced exactly.
+The rank route, which takes the rank of each cell of an explicit
+differential, and `homology_dimensions`, the table of any complex, live in
+the chain-level layer, `chains`, which loads on first use; this module
+forwards their names there.
 
 Agreement of two tables up to a cutoff is this package's certificate of
 quasi-isomorphism; it is a statement about dimensions only, and the
@@ -31,21 +27,18 @@ regularity check is likewise only conclusive up to its cutoff.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from collections.abc import Mapping
 
-from .complexes import Complex, ComplexInvariantError, WorkLimitError
+from .complexes import ComplexInvariantError, WorkLimitError
 from .polyalg import (
     GradedFreeModule,
     GradedRing,
     Polynomial,
     Record,
-    RingMismatch,
+    forward_to_chains,
     graded_piece_dim,
-    matrix_rank_in_degree,
-    modular_rank,
-    rational_rank,
 )
-from .zerolocus import ZeroLocusPresentation, koszul_complex, koszul_terms
+from .zerolocus import ZeroLocusPresentation, koszul_terms
 
 __all__ = [
     "HilbertTable",
@@ -64,10 +57,6 @@ __all__ = [
 ]
 
 
-# measured per cell on the benchmark's Koszul complexes (Python 3.11): the two
-# routes break even at 1,000-2,000 entries, the modular one is 1.5-4x faster
-# at 2,500-3,400 entries and 10-40x faster above 30,000
-MODULAR_MIN_ENTRIES = 2000
 # one table may need at most this many rank cells (differentials x degrees)
 MAX_RANK_CELLS = 10000
 # and at most this many table cells (terms x degrees), which also bounds the
@@ -92,7 +81,7 @@ class HilbertTable(Record):
 
     __slots__ = ("cutoff", "entries")
 
-    def __init__(self, cutoff: int, entries: Optional[dict[tuple[int, int], int]] = None):
+    def __init__(self, cutoff: int, entries: dict[tuple[int, int], int] | None = None):
         self._init(cutoff, {} if entries is None else entries)
 
     def dim(self, i: int, d: int) -> int:
@@ -111,7 +100,7 @@ class DimComparison(Record):
 
     __slots__ = ("passed", "witness", "table_a", "table_b")
 
-    def __init__(self, passed: bool, witness: Optional[tuple[int, int, int, int]],
+    def __init__(self, passed: bool, witness: tuple[int, int, int, int] | None,
                  table_a: HilbertTable, table_b: HilbertTable):
         self._init(passed, witness, table_a, table_b)
 
@@ -125,7 +114,7 @@ class RegularityVerdict(Record):
 
     __slots__ = ("regular_up_to_cutoff", "cutoff", "witness")
 
-    def __init__(self, regular_up_to_cutoff: bool, cutoff: int, witness: Optional[tuple]):
+    def __init__(self, regular_up_to_cutoff: bool, cutoff: int, witness: tuple | None):
         self._init(regular_up_to_cutoff, cutoff, witness)
 
     def __str__(self):
@@ -165,46 +154,6 @@ def _term_dims(terms: Mapping[int, GradedFreeModule], degrees: range) -> dict[tu
     return {(i, d): terms[i].graded_dim(d) for i in sorted(terms) for d in degrees}
 
 
-def _check_cells(dims: dict[tuple[int, int], int], cells) -> None:
-    """Raise WorkLimitError when a rank cell (i, d), the degree-d piece of
-    d^i: C^i -> C^{i+1}, has more than MAX_CELL_ENTRIES entries."""
-    rows, cols = max(((dims.get((i + 1, d), 0), dims.get((i, d), 0)) for i, d in cells),
-                     key=lambda shape: shape[0] * shape[1], default=(0, 0))
-    if rows * cols > MAX_CELL_ENTRIES:
-        raise WorkLimitError(f"the largest rank cell has {rows} x {cols} = {rows * cols} "
-                             f"entries, more than the limit of {MAX_CELL_ENTRIES}; "
-                             f"lower the cutoff")
-
-
-def _ranks(c: Complex, degrees: range,
-           known: Optional[dict[tuple[int, int], int]] = None) -> dict[tuple[int, int], int]:
-    """Rank over Q of d^i in degree d for every differential and degree.
-
-    Cells in known are taken as given, exact, and stand as neighbours in the
-    certificate.  Small cells are exact; large ones are modular and kept
-    where the certificate of the module docstring holds, else reduced
-    exactly from the rows the modular rank was taken of.
-    """
-    ranks = dict(known or {})
-    modular = []
-    for i, m in sorted(c.differentials.items()):
-        for d in degrees:
-            if (i, d) in ranks:
-                continue
-            if m.target.graded_dim(d) * m.source.graded_dim(d) < MODULAR_MIN_ENTRIES:
-                ranks[i, d] = matrix_rank_in_degree(m, d)
-            else:
-                rows, ncols = m.degree_rows(d)
-                ranks[i, d] = modular_rank(rows, ncols)
-                modular.append((i, d, rows))
-    for i, d, rows in modular:
-        r = ranks[i, d]
-        if (r != c.term(i).graded_dim(d) - ranks.get((i - 1, d), 0)
-                and r != c.term(i + 1).graded_dim(d) - ranks.get((i + 1, d), 0)):
-            ranks[i, d] = rational_rank(rows)
-    return ranks
-
-
 def _table(cutoff: int, dims: dict[tuple[int, int], int],
            ranks: dict[tuple[int, int], int]) -> HilbertTable:
     """dim H^i_d = dim C^i_d - rank(d^i)_d - rank(d^{i-1})_d from the term
@@ -228,24 +177,6 @@ def _table(cutoff: int, dims: dict[tuple[int, int], int],
     return HilbertTable(cutoff, entries)
 
 
-def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
-    """Exact homology dimensions for all internal degrees <= cutoff.
-
-    Raises WorkLimitError, before any matrix is assembled, when the table
-    needs more than MAX_RANK_CELLS rank cells or MAX_TABLE_CELLS table
-    cells, or its largest rank cell has more than MAX_CELL_ENTRIES entries.
-    """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    if not c.support:
-        return HilbertTable(cutoff, {})
-    degrees = _degree_window(c.terms, cutoff)
-    _check_window(len(c.differentials), len(c.terms), degrees)
-    dims = _term_dims(c.terms, degrees)
-    _check_cells(dims, [(i, d) for i in c.differentials for d in degrees])
-    return _table(cutoff, dims, _ranks(c, degrees))
-
-
 def _certify(basis: list, entries: list[Polynomial], max_degree: int) -> None:
     """Raise ComplexInvariantError unless basis, as `groebner.groebner_basis`
     gives it, is a Groebner basis of the entries' ideal in degrees up to
@@ -259,7 +190,7 @@ def _certify(basis: list, entries: list[Polynomial], max_degree: int) -> None:
 
 
 def _hilbert_and_grade(ring: GradedRing, entries: list[Polynomial],
-                       max_degree: int) -> Optional[tuple[dict[int, int], int]]:
+                       max_degree: int) -> tuple[dict[int, int], int] | None:
     """(K, g) for I the ideal of the nonzero homogeneous entries, read off a
     Groebner basis of I up to max_degree, certified: the ideal J of its
     leading monomials equals in(I) up to max_degree, so
@@ -341,12 +272,14 @@ def koszul_table(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
             else:
                 ranks[i, d] = 0
     if cells:
-        _check_cells(dims, cells)
-        ranks = _ranks(koszul_complex(p), degrees, ranks)
+        from . import chains  # the rank route and the Koszul complex load here only
+
+        chains._check_cells(dims, cells)
+        ranks = chains._ranks(chains.koszul_complex(p), degrees, ranks)
     return _table(cutoff, dims, ranks)
 
 
-def compare_tables(a: HilbertTable, b: HilbertTable) -> Optional[tuple[int, int, int, int]]:
+def compare_tables(a: HilbertTable, b: HilbertTable) -> tuple[int, int, int, int] | None:
     """First (i, d, dim_a, dim_b) disagreement in lexicographic order, or None."""
     keys = sorted(set(a.entries) | set(b.entries))
     for i, d in keys:
@@ -354,16 +287,6 @@ def compare_tables(a: HilbertTable, b: HilbertTable) -> Optional[tuple[int, int,
         if da != db:
             return (i, d, da, db)
     return None
-
-
-def same_homology_dims(a: Complex, b: Complex, cutoff: int) -> DimComparison:
-    """PASS when the homology tables agree everywhere up to the cutoff."""
-    if a.ring != b.ring:
-        raise RingMismatch("comparing complexes over different rings")
-    table_a = homology_dimensions(a, cutoff)
-    table_b = homology_dimensions(b, cutoff)
-    witness = compare_tables(table_a, table_b)
-    return DimComparison(witness is None, witness, table_a, table_b)
 
 
 def is_regular_up_to(p: ZeroLocusPresentation, cutoff: int) -> RegularityVerdict:
@@ -375,12 +298,6 @@ def is_regular_up_to(p: ZeroLocusPresentation, cutoff: int) -> RegularityVerdict
     return RegularityVerdict(True, cutoff, None)
 
 
-def euler_characteristics_match(c: Complex, cutoff: int) -> bool:
-    """Degreewise Euler characteristic of homology equals that of the terms."""
-    table = homology_dimensions(c, cutoff)
-    for d in _degree_window(c.terms, cutoff):
-        chi_terms = sum((-1) ** (i % 2) * c.term(i).graded_dim(d) for i in c.support)
-        chi_homology = sum((-1) ** (i % 2) * table.dim(i, d) for i in table.cohomological_degrees())
-        if chi_terms != chi_homology:
-            return False
-    return True
+__getattr__, __dir__ = forward_to_chains(globals(), (
+    "MODULAR_MIN_ENTRIES", "_check_cells", "_ranks", "homology_dimensions",
+    "same_homology_dims", "euler_characteristics_match"))

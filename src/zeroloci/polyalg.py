@@ -6,25 +6,20 @@ Polynomials carry a single positive Z-grading (each variable has a weight
 Terms are a dict {exponent tuple: coefficient} with no zero value;
 `_add_terms` and `_times` sum and multiply such dicts for the operators and
 for `parse_poly`, whose recursive descent keeps integer coefficients as int
-and makes one validated `Polynomial` per expression.  Homogeneous matrices
-between twisted free modules reduce, degree by degree, to finite matrices
-over Q, assembled as sparse integer rows (the rational matrix times one
-positive integer, so ranks are unchanged).  Two kernels take
-their rank: `rational_rank`, exact sparse integer row reduction with gcd
-normalisation, and `modular_rank`, dense elimination mod the prime MODULUS
-in numpy int64, whose result is only a lower bound on the rank over Q;
-`homology` certifies it before use.  numpy is imported inside
-`modular_rank`, so importing the package does not load it.
+and makes one validated `Polynomial` per expression.  Twisted free modules
+count their graded pieces without enumerating them (`graded_piece_dim`).
+Homogeneous matrices, their degree pieces and the rank kernels live in the
+chain-level layer, `chains`, which loads on first use; this module forwards
+their names there (`forward_to_chains`).
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, log10
+from math import log10
 from operator import add, index
-from typing import Mapping, Sequence
 
 __all__ = [
     "GradedRing",
@@ -64,8 +59,6 @@ _MAX_TERM_PRODUCTS = 10000
 _MAX_COEFFICIENT_BITS = 10000
 # a number literal with more digits than 2^_MAX_COEFFICIENT_BITS has more bits
 _MAX_COEFFICIENT_DIGITS = int(_MAX_COEFFICIENT_BITS * log10(2)) + 1
-# the prime of `modular_rank`: below 2^31, so a product of two residues fits int64
-MODULUS = 2147483629
 
 
 class ParseError(ValueError):
@@ -174,36 +167,6 @@ class GradedRing(Record):
         return f"GradedRing({vs})"
 
 
-@lru_cache(maxsize=None)
-def graded_piece_basis(ring: GradedRing, d: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors of weighted degree d, in descending lex order.
-
-    Empty for d < 0.  The order is fixed so matrix layouts are reproducible.
-    """
-    if d < 0:
-        return ()
-    out: list[tuple[int, ...]] = []
-
-    def fill(index: int, remaining: int, prefix: tuple[int, ...]):
-        if index == ring.nvars:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        if index == ring.nvars - 1:
-            w = ring.degrees[index]
-            if remaining % w == 0:
-                out.append(prefix + (remaining // w,))
-            return
-        w = ring.degrees[index]
-        for e in range(remaining // w, -1, -1):
-            fill(index + 1, remaining - e * w, prefix + (e,))
-
-    if ring.nvars == 0:
-        return ((),) if d == 0 else ()
-    fill(0, d, ())
-    return tuple(out)
-
-
 # one count table per ring: counts[k] = graded_piece_dim(ring, k) for k < len(counts)
 _PIECE_COUNTS: dict[GradedRing, list[int]] = {}
 
@@ -227,12 +190,6 @@ def graded_piece_dim(ring: GradedRing, d: int) -> int:
                 counts[k] += counts[k - w]
         _PIECE_COUNTS[ring] = counts
     return counts[d]
-
-
-@lru_cache(maxsize=None)
-def _basis_position(ring: GradedRing, d: int) -> dict[tuple[int, ...], int]:
-    """Exponent vector -> its index in `graded_piece_basis(ring, d)`."""
-    return {exps: k for k, exps in enumerate(graded_piece_basis(ring, d))}
 
 
 def _add_terms(acc: dict, terms: Mapping, subtract: bool = False) -> dict:
@@ -556,7 +513,7 @@ def parse_poly(text: str, ring: GradedRing) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# graded free modules and homogeneous matrices
+# graded free modules
 # ---------------------------------------------------------------------------
 
 
@@ -580,11 +537,8 @@ class GradedFreeModule(Record):
 
     def basis_in_degree(self, d: int) -> list[tuple[int, tuple[int, ...]]]:
         """Pairs (generator index, monomial exponent) spanning the degree-d piece."""
-        out = []
-        for j, a in enumerate(self.twists):
-            for exps in graded_piece_basis(self.ring, d - a):
-                out.append((j, exps))
-        return out
+        from .chains import basis_in_degree
+        return basis_in_degree(self, d)
 
     def dual(self) -> "GradedFreeModule":
         return GradedFreeModule(self.ring, tuple(-a for a in self.twists))
@@ -593,231 +547,28 @@ class GradedFreeModule(Record):
         return f"GradedFreeModule(twists={list(self.twists)})"
 
 
-class PolyMatrix:
-    """Homogeneous map of graded free modules, entry (i, j) of degree twists_src[j] - twists_tgt[i]."""
-
-    __slots__ = ("source", "target", "entries")
-
-    def __init__(self, source: GradedFreeModule, target: GradedFreeModule,
-                 entries: Sequence[Sequence[Polynomial]]):
-        ring = source.ring
-        if target.ring is not ring and target.ring != ring:
-            raise RingMismatch("matrix endpoints over different rings")
-        rows = tuple(tuple(row) for row in entries)
-        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
-            raise ValueError(
-                f"entry shape {len(rows)}x{len(rows[0]) if rows else 0} does not match "
-                f"target rank {target.rank} x source rank {source.rank}")
-        constant = (0,) * ring.nvars
-        for i, row in enumerate(rows):
-            for j, p in enumerate(row):
-                # identity first: == compares the fields of two distinct rings
-                if p.ring is not ring and p.ring != ring:
-                    raise RingMismatch("matrix entry over a different ring")
-                if p.is_zero():
-                    continue
-                want = source.twists[j] - target.twists[i]
-                if want == 0 and len(p.terms) == 1 and constant in p.terms:
-                    continue
-                if p.homogeneous_degree() != want:
-                    raise HomogeneityError(
-                        f"entry ({i},{j}) = {p} must be homogeneous of degree {want}")
-        self.source = source
-        self.target = target
-        self.entries = rows
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, source: GradedFreeModule, target: GradedFreeModule) -> "PolyMatrix":
-        z = source.ring.zero()
-        return cls(source, target, [[z] * source.rank for _ in range(target.rank)])
-
-    @classmethod
-    def identity(cls, module: GradedFreeModule) -> "PolyMatrix":
-        one, zero = module.ring.one(), module.ring.zero()
-        n = module.rank
-        return cls(module, module, [[one if i == j else zero for j in range(n)]
-                                    for i in range(n)])
-
-    # -- algebra ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Composite self o other (other applied first).
-
-        Sparse: each nonzero entry of a row of self meets only the nonzero
-        entries of the matching row of other, summed in ascending k.
-        """
-        if other.target.twists != self.source.twists or other.target.ring != self.source.ring:
-            raise ValueError("composition shape mismatch")
-        zero = self.source.ring.zero()
-        other_rows = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
-                      for row in other.entries]
-        rows = []
-        for entry_row in self.entries:
-            acc: dict[int, Polynomial] = {}
-            for k, a in enumerate(entry_row):
-                if a.is_zero():
-                    continue
-                for j, b in other_rows[k]:
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            rows.append([acc.get(j, zero) for j in range(other.source.rank)])
-        return PolyMatrix(other.source, self.target, rows)
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (other.source.twists, other.target.twists) != (self.source.twists, self.target.twists):
-            raise ValueError("sum shape mismatch")
-        rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        return PolyMatrix(self.source, self.target, rows)
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.source, self.target,
-                          [[-p for p in row] for row in self.entries])
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.entries == other.entries)
-
-    def degree_rows(self, d: int) -> tuple[list[dict[int, int]], int]:
-        """The induced linear map on degree-d pieces as sparse integer rows.
-
-        Returns (rows, ncols): one {column: value} dict per target basis
-        element of degree d, columns indexed by the source basis, columns
-        ascending.  The whole matrix is scaled by the lcm of the
-        coefficient denominators, which leaves every rank unchanged.
-        """
-        scale = 1
-        for row in self.entries:
-            for p in row:
-                for c in p.terms.values():
-                    scale = scale * c.denominator // gcd(scale, c.denominator)
-        ring = self.source.ring
-        offsets, position = [], []
-        nrows = 0
-        for a in self.target.twists:
-            offsets.append(nrows)
-            position.append(_basis_position(ring, d - a))
-            nrows += len(position[-1])
-        rows: list[dict[int, int]] = [{} for _ in range(nrows)]
-        col = 0
-        for j, a in enumerate(self.source.twists):
-            terms = [(offsets[i], position[i], exps, c.numerator * (scale // c.denominator))
-                     for i, entry_row in enumerate(self.entries)
-                     for exps, c in entry_row[j].terms.items()]
-            for mu in graded_piece_basis(ring, d - a):
-                for offset, where, exps, value in terms:
-                    rows[offset + where[tuple(map(add, exps, mu))]][col] = value
-                col += 1
-        return rows, col
-
-    def degree_matrix(self, d: int) -> tuple[list[list[Fraction]], int, int]:
-        """The degree-d piece as a dense Q-matrix: a reference layout for tests.
-
-        Returns (rows, nrows, ncols) in the layout of `degree_rows`.  Ranks
-        are not computed from it.
-        """
-        src_basis = self.source.basis_in_degree(d)
-        tgt_basis = self.target.basis_in_degree(d)
-        ncols, nrows = len(src_basis), len(tgt_basis)
-        row_index = {}
-        for r, (i, exps) in enumerate(tgt_basis):
-            row_index[(i, exps)] = r
-        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
-        for c, (j, mu) in enumerate(src_basis):
-            for i in range(self.target.rank):
-                p = self.entries[i][j]
-                if p.is_zero():
-                    continue
-                for exps, coeff in p.terms.items():
-                    shifted = tuple(a + b for a, b in zip(exps, mu))
-                    r = row_index.get((i, shifted))
-                    if r is not None:
-                        rows[r][c] = rows[r][c] + coeff
-        return rows, nrows, ncols
-
-    def __repr__(self):
-        body = "; ".join(", ".join(str(p) for p in row) for row in self.entries)
-        return f"PolyMatrix[{body}]"
+# ---------------------------------------------------------------------------
+# names that moved to the chain-level layer
+# ---------------------------------------------------------------------------
 
 
-def rational_rank(rows: list[dict[int, int]]) -> int:
-    """Rank over Q of sparse integer rows by row reduction with gcd normalisation."""
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for row in rows:
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-        if g > 1:
-            row = {c: v // g for c, v in row.items()}
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = row
-                rank += 1
-                break
-            a, b = pivot[col], row[col]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            merged: dict[int, int] = {}
-            for c, v in row.items():
-                merged[c] = v * a
-            for c, v in pivot.items():
-                w = merged.get(c, 0) - v * b
-                if w:
-                    merged[c] = w
-                elif c in merged:
-                    del merged[c]
-            g = 0
-            for v in merged.values():
-                g = gcd(g, v)
-            if g > 1:
-                merged = {c: v // g for c, v in merged.items()}
-            row = merged
-    return rank
+def forward_to_chains(namespace: dict, names) -> tuple:
+    """A module's __getattr__ and __dir__ (PEP 562) that resolve names, moved to
+    `chains`, to the objects there; so `chains` is imported on first use only."""
+    moved = frozenset(names)
+
+    def __getattr__(name):
+        if name in moved:
+            from . import chains
+            return getattr(chains, name)
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+
+    def __dir__():
+        return sorted(moved.union(namespace))
+
+    return __getattr__, __dir__
 
 
-def matrix_rank_in_degree(m: PolyMatrix, d: int) -> int:
-    """Rank over Q of the degree-d piece of a homogeneous matrix."""
-    rows, ncols = m.degree_rows(d)
-    if not rows or not ncols:
-        return 0
-    return rational_rank(rows)
-
-
-def modular_rank(rows: list[dict[int, int]], ncols: int) -> int:
-    """Rank mod MODULUS of sparse integer rows, by dense int64 elimination.
-
-    A lower bound on the rank over Q: a minor that vanishes over the
-    integers vanishes mod p.  Residues stay below 2^31, so products fit int64.
-    """
-    if not rows or not ncols:
-        return 0
-    import numpy as np
-
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    for r, row in enumerate(rows):
-        if row:
-            a[r, list(row)] = [v % MODULUS for v in row.values()]
-    rank = 0
-    for col in range(ncols):
-        hits = np.flatnonzero(a[rank:, col])
-        if not hits.size:
-            continue
-        pivot = rank + hits[0]
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        below = rank + hits[1:]
-        if below.size:
-            head = a[rank, col:] * pow(int(a[rank, col]), -1, MODULUS) % MODULUS
-            a[below, col:] = (a[below, col:] - a[below, col, None] * head) % MODULUS
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+__getattr__, __dir__ = forward_to_chains(globals(), (
+    "PolyMatrix", "graded_piece_basis", "_basis_position", "rational_rank", "modular_rank",
+    "matrix_rank_in_degree", "MODULUS"))

@@ -4,20 +4,20 @@ A presentation is a graded ring together with two lists of homogeneous
 entries: the ambient list cuts out a derived ambient space as an iterated
 zero locus over affine space, and the section list gives the components
 of a section of a twisted free bundle over that ambient.  The associated
-Koszul complex computes the derived quotient.  It and the symmetric-power
-invariants, a subcomplex of it when deliberately shortened (marked by an
-explicit truncation flag rather than an error), are built directly in one
-subset layout by `complexes.contraction_complex`; all are bounded.
+Koszul complex computes the derived quotient; its terms are
+`koszul_terms`.  The complex itself, the symmetric-power invariants (a
+subcomplex of it when deliberately shortened, marked by an explicit
+truncation flag rather than an error), the Jacobian and the cotangent
+complex are built in the chain-level layer, `chains`, which loads on first
+use; this module forwards their names there.
 """
 
 from __future__ import annotations
 
-import itertools
-from math import comb
 from operator import index
 
-from .complexes import Complex, check_generators, contraction_complex, exterior_algebra, tensor
-from .polyalg import GradedFreeModule, GradedRing, Polynomial, PolyMatrix, Record, RingMismatch
+from .complexes import exterior_algebra
+from .polyalg import GradedFreeModule, GradedRing, Polynomial, Record, forward_to_chains
 
 __all__ = [
     "PresentationError",
@@ -27,6 +27,7 @@ __all__ = [
     "SymInvariantsResult",
     "koszul_complex",
     "koszul_terms",
+    "check_entries",
     "sym_cofib_invariants",
     "critical_locus",
     "cotangent_complex",
@@ -41,7 +42,9 @@ class PresentationError(ValueError):
     """A zero-locus presentation violates one of its invariants."""
 
 
-def _check_entries(ring: GradedRing, entries, label: str) -> tuple[SectionEntry, ...]:
+def check_entries(ring: GradedRing, entries, label: str) -> tuple[SectionEntry, ...]:
+    """(polynomial, declared degree) pairs, each homogeneous of a degree >= 1 over
+    ring; a PresentationError names the offending one "<label> entry k"."""
     out = []
     for k, (poly, degree) in enumerate(entries):
         try:
@@ -71,8 +74,8 @@ class ZeroLocusPresentation(Record):
     __slots__ = ("ring", "ambient", "section")
 
     def __init__(self, ring: GradedRing, ambient: tuple, section: tuple):
-        self._init(ring, _check_entries(ring, ambient, "ambient"),
-                   _check_entries(ring, section, "section"))
+        self._init(ring, check_entries(ring, ambient, "ambient"),
+                   check_entries(ring, section, "section"))
 
     @property
     def all_entries(self) -> tuple[SectionEntry, ...]:
@@ -99,50 +102,6 @@ class ZeroLocusPresentation(Record):
         return GradedFreeModule(self.ring, self.section_degrees)
 
 
-class JacobianData(Record):
-    """Partial derivatives of the section entries, rows indexed by ring variables."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: PolyMatrix):
-        self._init(matrix)
-
-
-class SymInvariantsResult(Record):
-    """Weight-zero symmetric-power complex; `truncated` when n_max < bundle rank."""
-
-    __slots__ = ("complex", "truncated")
-
-    def __init__(self, complex: Complex, truncated: bool):
-        self._init(complex, truncated)
-
-
-def _koszul_layout(p: ZeroLocusPresentation, n_max: int) -> Complex:
-    """The subcomplex of the Koszul complex of p spanned by the subsets of all
-    entries with at most n_max section entries (all of it for n_max >= rank),
-    degree -n in lexicographic order, section entries after the ambient ones.
-    Contraction keeps the bound.  Raises WorkLimitError above MAX_GENERATORS
-    before building anything.
-    """
-    ambient, r = len(p.ambient), len(p.all_entries)
-    check_generators(2 ** ambient * sum(comb(p.rank, s) for s in range(min(n_max, p.rank) + 1)))
-    degrees = p.all_degrees
-    subsets = {-n: [sub for sub in itertools.combinations(range(r), n)
-                    if sum(k >= ambient for k in sub) <= n_max]
-               for n in range(min(r, ambient + n_max) + 1)}
-    terms = {i: GradedFreeModule(p.ring, tuple(sum(degrees[k] for k in sub) for sub in subs))
-             for i, subs in subsets.items()}
-    return contraction_complex(p.ring, [f for f, _ in p.all_entries], subsets, terms)
-
-
-def koszul_complex(p: ZeroLocusPresentation) -> Complex:
-    """Exterior powers of all entries, ambient first, joined by contraction.
-
-    Up to three entries this equals the tensor of their two-term complexes.
-    """
-    return _koszul_layout(p, p.rank)
-
-
 def koszul_terms(p: ZeroLocusPresentation) -> dict[int, GradedFreeModule]:
     """The terms of koszul_complex(p), in its layout, without building a differential.
 
@@ -150,25 +109,6 @@ def koszul_terms(p: ZeroLocusPresentation) -> dict[int, GradedFreeModule]:
     twists, the exterior algebra on the entries' twists.
     """
     return exterior_algebra(GradedFreeModule(p.ring, p.all_degrees), len(p.all_entries)).terms
-
-
-def sym_cofib_invariants(p: ZeroLocusPresentation, n_max: int) -> SymInvariantsResult:
-    """Weight-zero part of the symmetric algebra on the cofibre of the cosection.
-
-    The direct sum of the symmetric powers up to n_max is regraded by the
-    auxiliary weight (the power of the generator of the trivial line); its
-    weight-zero pieces are the exterior powers Lambda^n of the dual bundle,
-    n <= top = min(n_max, rank), joined by contraction with the section
-    (the line generator has twist 0).  Tensored with the ambient Koszul
-    complex they are the subcomplex of the Koszul complex spanned by the
-    subsets with at most top section entries (e_A (x) e_B -> e_(A u B)
-    needs no sign), built directly in the Koszul layout, without the rest
-    of the Koszul complex; untruncated (n_max >= rank) it is the Koszul
-    complex itself.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return SymInvariantsResult(_koszul_layout(p, n_max), truncated=n_max < p.rank)
 
 
 def critical_locus(w: Polynomial) -> ZeroLocusPresentation:
@@ -188,37 +128,6 @@ def critical_locus(w: Polynomial) -> ZeroLocusPresentation:
     return ZeroLocusPresentation(ring, (), section)
 
 
-def jacobian_data(p: ZeroLocusPresentation) -> JacobianData:
-    """All partials of the section entries; rows = ring variables, columns = entries."""
-    ring = p.ring
-    source = p.bundle_dual()
-    target = GradedFreeModule(ring, ring.degrees)
-    rows = [[poly.partial(i) for poly, _ in p.section] for i in range(ring.nvars)]
-    return JacobianData(PolyMatrix(source, target, rows))
-
-
-def cotangent_complex(p: ZeroLocusPresentation) -> Complex:
-    """Jacobian two-term complex restricted to the zero locus.
-
-    Only smooth affine ambients are supported: the ambient list must be
-    empty.  The result is [bundle dual --Jacobian--> Kaehler generators]
-    in degrees -1, 0, tensored with the Koszul complex of the presentation.
-    """
-    if p.ambient:
-        raise PresentationError("cotangent_complex requires an empty ambient list")
-    ring = p.ring
-    jac = jacobian_data(p).matrix
-    terms = {}
-    if jac.source.rank:
-        terms[-1] = jac.source
-    if jac.target.rank:
-        terms[0] = jac.target
-    two_term = Complex(ring, terms, {-1: jac} if jac.source.rank and jac.target.rank else {})
-    return tensor(two_term, koszul_complex(p))
-
-
-def restrict(m: Complex, p: ZeroLocusPresentation) -> Complex:
-    """Derived restriction to the zero locus: tensor with the Koszul complex."""
-    if m.ring != p.ring:
-        raise RingMismatch("complex and presentation over different rings")
-    return tensor(m, koszul_complex(p))
+__getattr__, __dir__ = forward_to_chains(globals(), (
+    "JacobianData", "SymInvariantsResult", "_koszul_layout", "koszul_complex",
+    "sym_cofib_invariants", "jacobian_data", "cotangent_complex", "restrict"))

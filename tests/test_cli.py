@@ -1,5 +1,6 @@
 """Problem-file parsing, report rendering, exit codes and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import zeroloci
-from zeroloci import cli, groebner, gtheory
+from zeroloci import chains, cli, groebner, gtheory
 from zeroloci.cli import ProblemFileError, main, parse_problem_file, run
 from zeroloci.complexes import MAX_GENERATORS, ComplexInvariantError
 from zeroloci.gtheory import CrossCheckError, KClass, excess_certificate
@@ -251,12 +252,14 @@ def test_main_rank_cell_limit_exit_two(tmp_path, capsys):
 
 
 def test_class_identities_leave_numpy_unloaded(tmp_path):
-    # numpy is imported by the modular rank kernel only, and the groebner module by
-    # the Koszul table only; a run without either must not pay for their import
+    # numpy is imported by the modular rank kernel only, the groebner module by the
+    # Koszul table only, and the chain-level layer by explicit differentials only;
+    # a run without any of them must not pay for their import
     path = write(tmp_path, NON_REGULAR.format(kind="verify-lefschetz") + "module = x : 1\n")
     script = ("import sys\n"
               "import zeroloci\n"
-              "loaded = lambda: ('numpy' in sys.modules, 'zeroloci.groebner' in sys.modules)\n"
+              "loaded = lambda: tuple(name in sys.modules for name in\n"
+              "                       ('numpy', 'zeroloci.groebner', 'zeroloci.chains'))\n"
               "imported = loaded()\n"
               "from zeroloci.cli import main\n"
               "code = main([sys.argv[1]])\n"
@@ -266,7 +269,7 @@ def test_class_identities_leave_numpy_unloaded(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "status:  PASS" in done.stdout
-    assert done.stdout.splitlines()[-1] == "(False, False) 0 (False, False)"
+    assert done.stdout.splitlines()[-1] == "(False, False, False) 0 (False, False, False)"
 
 
 def test_run_leaves_dataclasses_inspect_and_argparse_unloaded(tmp_path):
@@ -275,7 +278,8 @@ def test_run_leaves_dataclasses_inspect_and_argparse_unloaded(tmp_path):
     # loaded before the import does not count against the package.
     path = write(tmp_path, NON_REGULAR.format(kind="homology"))
     script = ("import sys\n"
-              "names = ('dataclasses', 'inspect', 'argparse', 'numpy', 'zeroloci.groebner')\n"
+              "names = ('dataclasses', 'inspect', 'argparse', 'numpy', 'zeroloci.groebner',\n"
+              "         'zeroloci.chains', 'hashlib')\n"
               "before = {name for name in names if name in sys.modules}\n"
               "from zeroloci import cli\n"
               "imported = {name for name in names if name in sys.modules} - before\n"
@@ -287,8 +291,29 @@ def test_run_leaves_dataclasses_inspect_and_argparse_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, path], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    # the Koszul table of a non-regular section needs the Groebner basis, nothing else
+    # the Koszul table of a non-regular section needs the Groebner basis, nothing
+    # else: no rank cell, so not the chain-level layer
     assert done.stdout.splitlines()[-1] == "[] 0 ['zeroloci.groebner']"
+
+
+def test_input_digest_is_the_sha256_of_the_file(tmp_path):
+    assert cli.sha256(b"zeroloci").hexdigest() == hashlib.sha256(b"zeroloci").hexdigest()
+    text = NON_REGULAR.format(kind="gclass")
+    code, report = run(write(tmp_path, text))
+    assert code == 0
+    assert report.input_sha256 == hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("module, message", [
+    ("1 : 0", "[task] module entry 0: declared degree must be >= 1"),
+    ("x : 1, x + y^2 : 2", "[task] module entry 1: x + y^2 is not homogeneous of declared "
+                           "degree 2"),
+])
+def test_main_module_entry_errors_name_the_module(tmp_path, capsys, module, message):
+    text = NON_REGULAR.format(kind="verify-lefschetz") + f"module = {module}\n"
+    assert main([write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "section" not in err
 
 
 def test_main_help_and_unknown_option(capsys):
@@ -474,7 +499,16 @@ def test_main_excess_certificate_fault_exit_three(tmp_path, capsys, monkeypatch)
 
 def test_main_excess_six_entries_exit_two_before_any_table(tmp_path, capsys, monkeypatch):
     tables = []
-    monkeypatch.setattr(gtheory, "homology_dimensions", lambda c, cutoff: tables.append(1))
+    koszul_table, homology_dimensions = gtheory.koszul_table, chains.homology_dimensions
+    monkeypatch.setattr(gtheory, "koszul_table",
+                        lambda p, cutoff: tables.append(1) or koszul_table(p, cutoff))
+    monkeypatch.setattr(chains, "homology_dimensions",
+                        lambda c, cutoff: tables.append(1) or homology_dimensions(c, cutoff))
+    # the patches see the one table of a one-entry check
+    assert main([write(tmp_path, DIVISOR)]) == 0
+    assert tables == [1]
+    tables.clear()
+    capsys.readouterr()
     text = DIVISOR.replace("entries = x : 1", "entries = " + ", ".join(["x : 1"] * 6))
     started = time.perf_counter()
     assert main([write(tmp_path, text)]) == 2

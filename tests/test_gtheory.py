@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroloci import gtheory, homology, zerolocus
+from zeroloci import chains, gtheory
 from zeroloci.complexes import (
     ChainMap,
     Complex,
@@ -405,10 +405,12 @@ def _count_koszul_builds_and_tables(monkeypatch) -> dict[str, int]:
             return original(*args)
         return wrapper
 
-    for module in (zerolocus, homology):
-        monkeypatch.setattr(module, "koszul_complex", counted("koszul", module.koszul_complex))
-    for name in ("homology_dimensions", "koszul_table"):
-        monkeypatch.setattr(gtheory, name, counted("table", getattr(gtheory, name)))
+    # each name where the code looks it up: the Koszul table and gtheory import the
+    # chain-level layer where they need it
+    monkeypatch.setattr(chains, "koszul_complex", counted("koszul", chains.koszul_complex))
+    monkeypatch.setattr(chains, "homology_dimensions",
+                        counted("table", chains.homology_dimensions))
+    monkeypatch.setattr(gtheory, "koszul_table", counted("table", gtheory.koszul_table))
     return calls
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zeroloci
-from zeroloci import groebner, homology
+from zeroloci import chains, groebner, homology
 from zeroloci.complexes import ComplexInvariantError, cone, dual, identity_chain_map, tensor, zero_complex
 from zeroloci.homology import (
     HilbertTable,
@@ -199,20 +199,31 @@ CERTIFICATE_CUTOFF = 4
 
 
 def _certificate_tables(monkeypatch, min_entries):
-    monkeypatch.setattr(homology, "MODULAR_MIN_ENTRIES", min_entries)
+    monkeypatch.setattr(chains, "MODULAR_MIN_ENTRIES", min_entries)
     return [homology_dimensions(koszul_complex(p), CERTIFICATE_CUTOFF)
             for p in build_corpus() + [PRIME_TRAP]]
 
 
+def _count_modular_ranks(monkeypatch) -> list:
+    """Record each call of the modular kernel where `_ranks` looks it up."""
+    calls, kernel = [], chains.modular_rank
+    monkeypatch.setattr(chains, "modular_rank",
+                        lambda rows, ncols: calls.append(len(rows)) or kernel(rows, ncols))
+    return calls
+
+
 def test_modular_route_matches_exact_route(monkeypatch):
+    modular = _count_modular_ranks(monkeypatch)
     exact = _certificate_tables(monkeypatch, 10**12)
+    assert modular == []
     assert _certificate_tables(monkeypatch, 0) == exact
+    assert modular   # the patched threshold sent cells to the modular kernel
 
 
 def test_prime_trap_falls_back_to_exact_ranks(monkeypatch):
-    monkeypatch.setattr(homology, "MODULAR_MIN_ENTRIES", 0)
+    monkeypatch.setattr(chains, "MODULAR_MIN_ENTRIES", 0)
     exact_cells, assembled = [], []
-    monkeypatch.setattr(homology, "rational_rank",
+    monkeypatch.setattr(chains, "rational_rank",
                         lambda rows: exact_cells.append(rows) or rational_rank(rows))
     degree_rows = PolyMatrix.degree_rows
     monkeypatch.setattr(PolyMatrix, "degree_rows",
@@ -231,14 +242,18 @@ def test_prime_trap_falls_back_to_exact_ranks(monkeypatch):
 def test_underestimated_modular_rank_never_certifies(monkeypatch):
     exact = _certificate_tables(monkeypatch, 10**12)
     rng = random.Random(4)
-    kernel = homology.modular_rank
+    kernel, lowered = chains.modular_rank, []
 
     def low(rows, ncols):
         r = kernel(rows, ncols)
-        return r - 1 if r and rng.random() < 0.5 else r
+        if r and rng.random() < 0.5:
+            lowered.append(r)
+            return r - 1
+        return r
 
-    monkeypatch.setattr(homology, "modular_rank", low)
+    monkeypatch.setattr(chains, "modular_rank", low)
     assert _certificate_tables(monkeypatch, 0) == exact
+    assert lowered   # some rank was underestimated, and none of them certified
 
 
 # -- Koszul tables from a certified Groebner basis -----------------------------------------
@@ -290,17 +305,23 @@ def test_basis_truncated_at_the_cutoff_bounds_the_grade_from_below():
         assert koszul_table(p, cutoff) == _oracle(p, cutoff)
 
 
+# x0 * l_k for three linear forms on five variables: grade 1, so d^-2 is the
+# one differential left to the rank route; d^-1 and d^-3 come in known
+X0_L_FORMS = ("x1 + 2*x2 - x3", "3*x1 - x4 + x2", "x2 + x3 + x4")
+
+
+def _x0_l() -> ZeroLocusPresentation:
+    return ZeroLocusPresentation(RING_X0_L, (), tuple(
+        (parse_poly(f"x0*({l})", RING_X0_L), 2) for l in X0_L_FORMS))
+
+
 def test_low_grade_table_takes_known_ranks_into_the_rank_route(monkeypatch):
-    # x0 * l_k for three linear forms on five variables: grade 1, so d^-2 is the
-    # one differential left to the rank route; d^-1 and d^-3 come in known
-    forms = ["x1 + 2*x2 - x3", "3*x1 - x4 + x2", "x2 + x3 + x4"]
-    p = ZeroLocusPresentation(RING_X0_L, (), tuple(
-        (parse_poly(f"x0*({l})", RING_X0_L), 2) for l in forms))
+    p = _x0_l()
     cutoff = 7
     expected = _oracle(p, cutoff)
     calls = []
-    ranks = homology._ranks
-    monkeypatch.setattr(homology, "_ranks",
+    ranks = chains._ranks
+    monkeypatch.setattr(chains, "_ranks",
                         lambda c, degrees, known=None: calls.append(dict(known)) or
                         ranks(c, degrees, known))
     table = koszul_table(p, cutoff)
@@ -311,8 +332,30 @@ def test_low_grade_table_takes_known_ranks_into_the_rank_route(monkeypatch):
     assert table == expected
     assert {i for i, _ in table.entries} == {-2, -1, 0}
     # the modular route certifies with the known ranks as neighbours
-    monkeypatch.setattr(homology, "MODULAR_MIN_ENTRIES", 0)
+    monkeypatch.setattr(chains, "MODULAR_MIN_ENTRIES", 0)
+    modular = _count_modular_ranks(monkeypatch)
     assert koszul_table(p, cutoff) == table
+    assert modular
+
+
+def test_rank_cells_load_the_chain_layer_only_when_met():
+    # the x0 * l_k table needs the rank route, which imports the chain-level
+    # layer; the table is the one the rank route gives for the whole complex
+    script = ("import json, sys\n"
+              "from zeroloci import GradedRing, ZeroLocusPresentation, koszul_table, parse_poly\n"
+              "ring = GradedRing(tuple(f'x{k}' for k in range(5)), (1,) * 5)\n"
+              "p = ZeroLocusPresentation(ring, (), tuple(\n"
+              "    (parse_poly(f'x0*({l})', ring), 2) for l in sys.argv[1:]))\n"
+              "before = 'zeroloci.chains' in sys.modules\n"
+              "rows = koszul_table(p, 7).rows()\n"
+              "print(before, 'zeroloci.chains' in sys.modules, json.dumps(rows))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(zeroloci.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, *X0_L_FORMS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    before, after, rows = done.stdout.splitlines()[-1].split(" ", 2)
+    assert (before, after) == ("False", "True")
+    assert [tuple(row) for row in json.loads(rows)] == _oracle(_x0_l(), 7).rows()
 
 
 @pytest.mark.parametrize("section, message", [
@@ -376,8 +419,8 @@ def test_groebner_work_limit_falls_back_to_the_rank_route(monkeypatch, limit):
     with pytest.raises(groebner.GroebnerWorkLimit):
         groebner_basis([f for f, _ in p.section], 8)
     calls = []
-    ranks = homology._ranks
-    monkeypatch.setattr(homology, "_ranks",
+    ranks = chains._ranks
+    monkeypatch.setattr(chains, "_ranks",
                         lambda c, degrees, known=None: calls.append(dict(known)) or
                         ranks(c, degrees, known))
     assert koszul_table(p, 8) == expected
