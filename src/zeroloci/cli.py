@@ -196,6 +196,19 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _integer(text: str, message: str) -> int:
+    """An integer field: an optional sign and ASCII digits, read by int().
+    Anything else (other Unicode digits, underscores, more digits than int()
+    reads) is a ProblemFileError(message)."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past int()'s limit on digits
+            pass
+    raise ProblemFileError(message)
+
+
 def _parse_entries(text: str, ring: GradedRing, where: str) -> list[tuple]:
     entries = []
     for item in _split_list(text):
@@ -206,11 +219,9 @@ def _parse_entries(text: str, ring: GradedRing, where: str) -> list[tuple]:
             raise ProblemFileError(
                 f"{where}: cannot parse {poly_text.strip()!r}: {exc} (column within the entry)"
             ) from exc
-        if degree_text.strip():
-            try:
-                degree = int(degree_text.strip())
-            except ValueError:
-                raise ProblemFileError(f"{where}: bad degree {degree_text.strip()!r}") from None
+        degree_text = degree_text.strip()
+        if degree_text:
+            degree = _integer(degree_text, f"{where}: bad degree {degree_text!r}")
         else:
             if poly.is_zero():
                 raise ProblemFileError(f"{where}: zero entries need an explicit ': degree'")
@@ -261,8 +272,9 @@ def parse_problem_file(text: str) -> ProblemFile:
     if "variables" not in ring_block or "degrees" not in ring_block:
         raise ProblemFileError("[ring] needs both 'variables' and 'degrees'")
     variables = tuple(v for part in _split_list(ring_block["variables"]) for v in part.split())
+    degrees = tuple(_integer(d, f"[ring]: bad degree {d!r}")
+                    for part in _split_list(ring_block["degrees"]) for d in part.split())
     try:
-        degrees = tuple(int(d) for part in _split_list(ring_block["degrees"]) for d in part.split())
         ring = GradedRing(variables, degrees)
     except ValueError as exc:
         raise ProblemFileError(f"[ring]: {exc}") from exc
@@ -286,18 +298,12 @@ def parse_problem_file(text: str) -> ProblemFile:
 
     cutoff = None
     if "cutoff" in task_block:
-        try:
-            cutoff = int(task_block["cutoff"])
-        except ValueError:
-            raise ProblemFileError("[task] cutoff must be an integer") from None
+        cutoff = _integer(task_block["cutoff"], "[task] cutoff must be an integer")
         if cutoff < 0:
             raise ProblemFileError("[task] cutoff must be >= 0")
     sym_max = None
     if "sym_max" in task_block:
-        try:
-            sym_max = int(task_block["sym_max"])
-        except ValueError:
-            raise ProblemFileError("[task] sym_max must be an integer") from None
+        sym_max = _integer(task_block["sym_max"], "[task] sym_max must be an integer")
     module_entries = None
     if "module" in task_block:
         module_entries = _parse_entries(task_block["module"], ring, where("task", "module"))

@@ -24,7 +24,7 @@ import itertools
 from collections.abc import Mapping
 from math import comb
 
-from .polyalg import GradedFreeModule, GradedRing, RingMismatch, forward_to_chains
+from .polyalg import GradedFreeModule, GradedRing, RingMismatch, as_integers, forward_to_chains
 
 __all__ = [
     "Complex",
@@ -81,13 +81,14 @@ class Complex:
     def __init__(self, ring: GradedRing,
                  terms: Mapping[int, GradedFreeModule],
                  differentials: Mapping[int, PolyMatrix]):
-        kept = {int(i): m for i, m in terms.items() if m.rank > 0}
+        kept = {i: m for i, m in zip(as_integers(terms, "cohomological degrees"), terms.values())
+                if m.rank > 0}
         for m in kept.values():
             if m.ring != ring:
                 raise RingMismatch("complex term over a different ring")
         diffs: dict[int, PolyMatrix] = {}
-        for i, d in differentials.items():
-            i = int(i)
+        for i, d in zip(as_integers(differentials, "cohomological degrees"),
+                        differentials.values()):
             if i not in kept or (i + 1) not in kept:
                 if not d.is_zero():
                     raise ComplexInvariantError(

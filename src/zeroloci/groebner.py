@@ -192,8 +192,8 @@ def groebner_basis(polys: Sequence[Polynomial], max_degree: int) -> list[_Keyed]
     weights = polys[0].ring.degrees[::-1]
     steps = _Steps()
     # (degree, order of arrival, an input polynomial or a pair of basis indices)
-    queue = [(p.homogeneous_degree(), k, _keyed(p)) for k, p in enumerate(polys)
-             if p.homogeneous_degree() <= max_degree]
+    queue = [(d, k, _keyed(p)) for k, p in enumerate(polys)
+             if (d := p.homogeneous_degree()) <= max_degree]
     heapq.heapify(queue)
     arrivals = len(queue)
     basis: list[_Keyed] = []

@@ -40,7 +40,7 @@ from .complexes import (
     koszul_contractions,
 )
 from .homology import DimComparison, HilbertTable, compare_tables, koszul_table
-from .polyalg import GradedFreeModule, GradedRing, ParseError, Record, RingMismatch
+from .polyalg import GradedFreeModule, GradedRing, ParseError, Record, RingMismatch, as_integers
 from .zerolocus import PresentationError, ZeroLocusPresentation, koszul_terms
 
 __all__ = [
@@ -74,12 +74,10 @@ class KClass:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[int, int] | None = None):
-        clean = {}
-        for k, v in (coeffs or {}).items():
-            v = int(v)
-            if v:
-                clean[int(k)] = v
-        self.coeffs = clean
+        coeffs = coeffs or {}
+        self.coeffs = {k: v for k, v in zip(as_integers(coeffs, "K-class powers"),
+                                            as_integers(coeffs.values(), "K-class coefficients"))
+                       if v}
 
     @classmethod
     def zero(cls) -> "KClass":
@@ -248,8 +246,7 @@ def _kclass_of_table(table: HilbertTable, ring: GradedRing) -> KClass:
 def lambda_minus_one(degrees: Sequence[int]) -> KClass:
     """Euler class of a twisted free bundle: the product of (1 - t^d)."""
     out = KClass.one()
-    for d in degrees:
-        d = int(d)
+    for d in as_integers(degrees, "twist degrees"):
         if d < 1:
             raise ValueError("twist degrees must be positive")
         out = out * KClass({0: 1, d: -1})

@@ -5,9 +5,12 @@ Polynomials carry a single positive Z-grading (each variable has a weight
 `fractions.Fraction`; there is no floating point anywhere in this package.
 Terms are a dict {exponent tuple: coefficient} with no zero value;
 `_add_terms` and `_times` sum and multiply such dicts for the operators and
-for `parse_poly`, whose recursive descent keeps integer coefficients as int
-and makes one validated `Polynomial` per expression.  Twisted free modules
-count their graded pieces without enumerating them (`graded_piece_dim`).
+for `parse_poly`.  Its recursive descent folds the atomic factors of a term
+(numbers, a/b, variables and their powers) into one monomial, a coefficient
+kept as int until an a/b brings in a Fraction, and takes the dict product
+only for a parenthesised factor; the result's coefficients become Fractions
+and no other check runs on it.  Twisted free modules count their graded
+pieces without enumerating them (`graded_piece_dim`).
 Homogeneous matrices, their degree pieces and the rank kernels live in the
 chain-level layer, `chains`, which loads on first use; this module forwards
 their names there (`forward_to_chains`).
@@ -19,7 +22,7 @@ import re
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import log10
-from operator import add, index
+from operator import add, index, mul
 
 __all__ = [
     "GradedRing",
@@ -39,7 +42,7 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
-# each level of parentheses costs the recursive-descent parser four stack
+# each level of parentheses costs the recursive-descent parser three stack
 # frames; this bound keeps any input well clear of the interpreter's limit
 _MAX_NESTING = 100
 # powers are repeated products, one per unit of the exponent
@@ -75,6 +78,15 @@ class RingMismatch(ValueError):
 
 class HomogeneityError(ValueError):
     """A matrix entry or section fails its required homogeneity."""
+
+
+def as_integers(values, what: str) -> tuple[int, ...]:
+    """values read with operator.index, as a tuple; int() would round 1.5 down
+    and read "2".  Raises ValueError "<what> must be integers" otherwise."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, not {tuple(values)!r}") from None
 
 
 class Record:
@@ -115,11 +127,7 @@ class GradedRing(Record):
     __slots__ = ("variables", "degrees", "_hash")
 
     def __init__(self, variables: Sequence[str], degrees: Sequence[int]):
-        variables = tuple(variables)
-        try:
-            degrees = tuple(map(index, degrees))
-        except TypeError:
-            raise ValueError(f"variable degrees must be integers, not {degrees!r}") from None
+        variables, degrees = tuple(variables), as_integers(degrees, "variable degrees")
         if len(variables) != len(degrees):
             raise ValueError("one degree per variable required")
         for name in variables:
@@ -142,7 +150,7 @@ class GradedRing(Record):
         return len(self.variables)
 
     def weighted_degree(self, exponents: Sequence[int]) -> int:
-        return sum(e * d for e, d in zip(exponents, self.degrees))
+        return sum(map(mul, exponents, self.degrees))
 
     def variable_index(self, name: str) -> int:
         try:
@@ -242,13 +250,14 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        degs = {self.ring.weighted_degree(e) for e in self.terms}
-        return len(degs) <= 1
+    def term_degrees(self) -> set[int]:
+        """The weighted degrees of the terms, in one pass."""
+        degrees = self.ring.degrees
+        return {sum(map(mul, e, degrees)) for e in self.terms}
 
     def homogeneous_degree(self):
         """Common weighted degree of all terms; None for the zero polynomial."""
-        degs = {self.ring.weighted_degree(e) for e in self.terms}
+        degs = self.term_degrees()
         if not degs:
             return None
         if len(degs) > 1:
@@ -359,157 +368,190 @@ class Polynomial:
 # parsing
 # ---------------------------------------------------------------------------
 
-# a token, or `bad`: the first character that starts none
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
+# the tokens: a number, a name or an operator; whitespace between them is skipped
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]")
+# a character that is in no token and is not whitespace
+_BAD_RE = re.compile(r"[^\s0-9A-Za-z_+\-*/^()]")
 
 
-def _tokenize(text: str):
-    """(kind, text, position) per token, then ("eof", "", len(text))."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _bits(c) -> int:
+    """The bits of a coefficient, numerator plus denominator; 0 for zero, as for no term."""
+    return c.numerator.bit_length() + c.denominator.bit_length() if c else 0
+
+
+def _monomial(c, exps) -> dict:
+    """The term dict of c * x^exps."""
+    return {tuple(exps): c} if c else {}
 
 
 class _Parser:
     """Recursive descent for: rationals (a or a/b), variables, + - * ^, parens.
 
-    Each rule returns a new term dict {exponent tuple: int or Fraction} with
-    no zero value, so `+` and `-` add into it in place.
+    The tokens are strings, then "" for the end; an error names a token by
+    its index, and `error` turns that into the offset in the text.  A term
+    folds its atomic factors (a number, a/b or a variable, each with an
+    optional ^k) into one running monomial: a coefficient, an int until an
+    a/b brings in a Fraction, and an exponent list.  A parenthesised factor
+    is a term dict {exponent tuple: coefficient} with no zero value, and
+    from the first one on so is the term's product.  Each product is
+    counted as the product of the two factors' term dicts would be.
     """
 
     def __init__(self, text: str, ring: GradedRing):
-        self.tokens = _tokenize(text)
+        bad = _BAD_RE.search(text)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")
         self.i = 0
-        self.ring = ring
-        self.constant = (0,) * ring.nvars
+        self.variables = ring.variables
+        self.nvars = ring.nvars
         self.depth = 0
         self.products = 0
 
-    def at(self, symbol: str) -> bool:
-        kind, value, _ = self.tokens[self.i]
-        return kind == "op" and value == symbol
+    def error(self, message: str, token: int) -> ParseError:
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        return ParseError(message, starts[token])
 
-    def advance(self):
-        self.i += 1
-        return self.tokens[self.i - 1]
-
-    def multiply(self, a: dict, b: dict, pos: int) -> dict:
-        """a * b, counted against _MAX_TERM_PRODUCTS and _MAX_COEFFICIENT_BITS
-        before it is formed."""
-        self.products += len(a) * len(b)
+    def count(self, products: int, bits: int, token: int) -> None:
+        """Count a product of `products` pairs of terms against _MAX_TERM_PRODUCTS,
+        then the `bits` of its factors' largest coefficients against
+        _MAX_COEFFICIENT_BITS, before the product is formed."""
+        self.products += products
         if self.products > _MAX_TERM_PRODUCTS:
-            raise ParseError(f"the expression needs at least {self.products} term products, "
-                             f"more than the limit of {_MAX_TERM_PRODUCTS}", pos)
-        bits = _coefficient_bits(a) + _coefficient_bits(b)
+            raise self.error(f"the expression needs at least {self.products} term products, "
+                             f"more than the limit of {_MAX_TERM_PRODUCTS}", token)
         if bits > _MAX_COEFFICIENT_BITS:
-            raise ParseError(f"the expression multiplies factors whose largest coefficients "
+            raise self.error(f"the expression multiplies factors whose largest coefficients "
                              f"have {bits} bits, more than the limit of "
-                             f"{_MAX_COEFFICIENT_BITS}", pos)
+                             f"{_MAX_COEFFICIENT_BITS}", token)
+
+    def multiply(self, a: dict, b: dict, token: int) -> dict:
+        bits = max(map(_bits, a.values()), default=0) + max(map(_bits, b.values()), default=0)
+        self.count(len(a) * len(b), bits, token)
         return _times(a, b)
 
     def number(self) -> int:
         """The next token, a number literal, refused by its digit count before
         int() reads it when it has more than _MAX_COEFFICIENT_BITS bits."""
-        _, value, pos = self.advance()
-        digits = value.lstrip("0")
+        digits = self.tokens[self.i].lstrip("0")
         if len(digits) > _MAX_COEFFICIENT_DIGITS:
-            raise ParseError(f"a number of {len(digits)} digits has more bits than the limit "
-                             f"of {_MAX_COEFFICIENT_BITS}", pos)
+            raise self.error(f"a number of {len(digits)} digits has more bits than the "
+                             f"limit of {_MAX_COEFFICIENT_BITS}", self.i)
+        self.i += 1
         return int(digits or "0")
 
-    def parse_expr(self) -> dict:
-        negate = self.at("-")
-        self.i += negate
-        acc = self.parse_term()
-        if negate:
-            acc = _add_terms({}, acc, True)
-        while self.at("+") or self.at("-"):
-            subtract = self.advance()[1] == "-"
-            _add_terms(acc, self.parse_term(), subtract)
-        return acc
-
-    def parse_term(self) -> dict:
-        acc = self.parse_factor()
-        while self.at("*"):
-            pos = self.advance()[2]
-            acc = self.multiply(acc, self.parse_factor(), pos)
-        return acc
-
-    def parse_factor(self) -> dict:
-        base = self.parse_base()
-        if not self.at("^"):
-            return base
-        self.i += 1
-        kind, value, pos = self.advance()
-        if kind != "num":
-            raise ParseError("expected a nonnegative integer exponent", pos)
+    def exponent(self) -> tuple[int, int]:
+        """After a '^': the exponent and its token."""
+        self.i += 2
+        value = self.tokens[self.i - 1]
+        if not value.isdigit():
+            raise self.error("expected a nonnegative integer exponent", self.i - 1)
         digits = value.lstrip("0") or "0"
         if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
             shown = value if len(value) <= 20 else f"of {len(value)} digits"
-            raise ParseError(f"exponent {shown} exceeds {_MAX_EXPONENT}", pos)
-        out = {self.constant: 1}
-        for _ in range(int(digits)):
-            out = self.multiply(out, base, pos)
-        return out
+            raise self.error(f"exponent {shown} exceeds {_MAX_EXPONENT}", self.i - 1)
+        return int(digits), self.i - 1
 
-    def parse_base(self) -> dict:
-        kind, value, pos = self.tokens[self.i]
-        if kind == "num":
+    def parse_expr(self) -> dict:
+        tokens, acc = self.tokens, {}
+        subtract = tokens[self.i] == "-"
+        self.i += subtract
+        while True:
+            self.parse_term(acc, subtract)
+            op = tokens[self.i]
+            if op != "+" and op != "-":
+                return acc
+            subtract = op == "-"
+            self.i += 1
+
+    def parse_term(self, acc: dict, subtract: bool) -> None:
+        """Add the next term into the term dict acc, or subtract it."""
+        tokens = self.tokens
+        # the monomial c * x^exps, or from the first group on the term dict
+        # terms; the token of the last '*'
+        c, exps, terms, star = 1, [0] * self.nvars, None, None
+        while True:
+            if tokens[self.i] == "(":
+                group = self.parse_group()
+                terms = group if star is None else self.multiply(
+                    _monomial(c, exps) if terms is None else terms, group, star)
+            else:
+                f, var, k = self.parse_atom()
+                if terms is not None:
+                    e = [k if j == var else 0 for j in range(self.nvars)]
+                    terms = self.multiply(terms, _monomial(f, e), star)
+                else:
+                    if star is not None:
+                        self.count(1 if c and f else 0, _bits(c) + _bits(f), star)
+                    c *= f
+                    if var is not None:
+                        exps[var] += k
+            if tokens[self.i] != "*":
+                break
+            star = self.i
+            self.i += 1
+        _add_terms(acc, _monomial(c, exps) if terms is None else terms, subtract)
+
+    def parse_atom(self) -> tuple:
+        """A number, a/b or a variable, with its ^k if any: (coefficient,
+        variable index or None, k)."""
+        tokens, var = self.tokens, None
+        value = tokens[self.i]
+        if value.isdigit():
             c = self.number()
-            if self.at("/"):
+            if tokens[self.i] == "/":
                 self.i += 1
-                kind, _, pos = self.tokens[self.i]
-                if kind != "num":
-                    raise ParseError("expected a denominator", pos)
+                if not tokens[self.i].isdigit():
+                    raise self.error("expected a denominator", self.i)
                 denominator = self.number()
                 if denominator == 0:
-                    raise ParseError("zero denominator", pos)
+                    raise self.error("zero denominator", self.i - 1)
                 c = Fraction(c, denominator)
-            return {self.constant: c} if c else {}
-        self.i += 1
-        if kind == "ident":
-            if value not in self.ring.variables:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            i = self.ring.variables.index(value)
-            return {self.constant[:i] + (1,) + self.constant[i + 1:]: 1}
-        if kind == "op" and value == "(":
-            if self.depth == _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
-            self.depth += 1
-            inner = self.parse_expr()
-            self.depth -= 1
-            if not self.at(")"):
-                raise ParseError("expected ')'", self.tokens[self.i][2])
+        elif value.isidentifier():
+            if value not in self.variables:
+                raise self.error(f"unknown variable {value!r}", self.i)
             self.i += 1
+            c, var = 1, self.variables.index(value)
+        else:
+            raise self.error("expected a number, variable or parenthesis", self.i)
+        if tokens[self.i] != "^":
+            return c, var, 1
+        k, caret = self.exponent()
+        out = 1  # c^k in k counted products, as by term dicts
+        for _ in range(k):
+            self.count(1 if out and c else 0, _bits(out) + _bits(c), caret)
+            out *= c
+        return out, var, k
+
+    def parse_group(self) -> dict:
+        """A parenthesised expression, with its ^k if any."""
+        if self.depth == _MAX_NESTING:
+            raise self.error(f"parentheses nested deeper than {_MAX_NESTING}", self.i)
+        self.i += 1
+        self.depth += 1
+        inner = self.parse_expr()
+        self.depth -= 1
+        if self.tokens[self.i] != ")":
+            raise self.error("expected ')'", self.i)
+        self.i += 1
+        if self.tokens[self.i] != "^":
             return inner
-        raise ParseError("expected a number, variable or parenthesis", pos)
-
-
-def _coefficient_bits(terms: Mapping) -> int:
-    """The most bits of a coefficient in a term dict, numerator plus denominator."""
-    # a plain loop: a generator under max() took twice as long
-    bits = 0
-    for c in terms.values():
-        n = c.numerator.bit_length() + c.denominator.bit_length()
-        if n > bits:
-            bits = n
-    return bits
+        k, caret = self.exponent()
+        out = {(0,) * self.nvars: 1}
+        for _ in range(k):
+            out = self.multiply(out, inner, caret)
+        return out
 
 
 def parse_poly(text: str, ring: GradedRing) -> Polynomial:
     """Parse a polynomial expression; print/parse round-trips exactly."""
     parser = _Parser(text, ring)
     terms = parser.parse_expr()
-    kind, value, pos = parser.tokens[parser.i]
-    if kind != "eof":
-        raise ParseError(f"unexpected {value!r}", pos)
-    return Polynomial(ring, terms)
+    if parser.tokens[parser.i]:
+        raise parser.error(f"unexpected {parser.tokens[parser.i]!r}", parser.i)
+    return Polynomial._trusted(ring, {e: Fraction(c) for e, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +565,7 @@ class GradedFreeModule(Record):
     __slots__ = ("ring", "twists")
 
     def __init__(self, ring: GradedRing, twists: Sequence[int]):
-        try:
-            self._init(ring, tuple(map(index, twists)))
-        except TypeError:
-            raise ValueError(f"module twists must be integers, not {twists!r}") from None
+        self._init(ring, as_integers(twists, "module twists"))
 
     @property
     def rank(self) -> int:

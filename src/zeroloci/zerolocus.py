@@ -55,8 +55,7 @@ def check_entries(ring: GradedRing, entries, label: str) -> tuple[SectionEntry, 
             raise PresentationError(f"{label} entry {k} lives over a different ring")
         if degree < 1:
             raise PresentationError(f"{label} entry {k}: declared degree must be >= 1")
-        if not poly.is_zero() and (not poly.is_homogeneous()
-                                   or poly.homogeneous_degree() != degree):
+        if poly.terms and poly.term_degrees() != {degree}:
             raise PresentationError(
                 f"{label} entry {k}: {poly} is not homogeneous of declared degree {degree}")
         out.append((poly, degree))
@@ -119,9 +118,10 @@ def critical_locus(w: Polynomial) -> ZeroLocusPresentation:
     declared degree.
     """
     ring = w.ring
-    if w.is_zero() or not w.is_homogeneous():
+    degrees = w.term_degrees()
+    if len(degrees) != 1:
         raise PresentationError("the potential must be nonzero and homogeneous")
-    degree = w.homogeneous_degree()
+    degree = degrees.pop()
     if degree < 2:
         raise PresentationError("the potential must be homogeneous of degree >= 2")
     section = tuple((w.partial(i), degree - ring.degrees[i]) for i in range(ring.nvars))

@@ -224,6 +224,34 @@ def test_main_non_ascii_digit_exit_two(tmp_path, capsys):
     assert "unexpected character" in capsys.readouterr().err
 
 
+# integer fields are an optional sign and ASCII digits, as in the polynomial
+# grammar; int() alone would read other Unicode digits and underscores
+@pytest.mark.parametrize("old, new, message", [
+    ("degrees = 1, 1", "degrees = 1, \u0661", "[ring]: bad degree '\u0661'"),
+    ("degrees = 1, 1", "degrees = 1, 1_0", "[ring]: bad degree '1_0'"),
+    ("y : 1", "y : \u0661", "[section] entries: bad degree '\u0661'"),
+    ("cutoff = 8", "cutoff = \u0664", "[task] cutoff must be an integer"),
+    ("cutoff = 8", "cutoff = 1_0", "[task] cutoff must be an integer"),
+    ("cutoff = 8", "cutoff = 8.0", "[task] cutoff must be an integer"),
+    ("cutoff = 8", "cutoff = " + "1" * 5000, "[task] cutoff must be an integer"),
+    ("sym_max = 1", "sym_max = \uff11", "[task] sym_max must be an integer"),
+    # negative values keep their messages
+    ("degrees = 1, 1", "degrees = 1, -1", "[ring]: variable degrees must be >= 1"),
+    ("y : 1", "y : -1", "section entry 1: declared degree must be >= 1"),
+    ("cutoff = 8", "cutoff = -1", "[task] cutoff must be >= 0"),
+    ("sym_max = 1", "sym_max = -1", "n_max must be >= 0"),
+])
+def test_main_integer_fields_take_ascii_digits_only(tmp_path, capsys, old, new, message):
+    assert main([write(tmp_path, TRUNCATED_SYM.replace(old, new))]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_integer_fields_take_a_sign_and_leading_zeros():
+    problem = parse_problem_file(TRUNCATED_SYM.replace("cutoff = 8", "cutoff = +008")
+                                 .replace("y : 1", "y : 01").replace("sym_max = 1", "sym_max = -0"))
+    assert (problem.cutoff, problem.section[1][1], problem.sym_max) == (8, 1, 0)
+
+
 def test_main_deep_nesting_exit_two(tmp_path, capsys):
     entry = "(" * 400 + "x" + ")" * 400
     path = write(tmp_path, "[ring]\nvariables = x\ndegrees = 1\n[section]\n"

@@ -54,6 +54,17 @@ def random_complexes(rng, count=8):
     return out
 
 
+@pytest.mark.parametrize("degree", [1.5, 1.0, "1", None])
+def test_complex_refuses_non_integer_degrees(degree):
+    # int() would round 1.5 down: a complex supported in degree 1
+    module = GradedFreeModule(RING_X, (0,))
+    with pytest.raises(ValueError, match="cohomological degrees must be integers"):
+        Complex(RING_X, {degree: module}, {})
+    zero = PolyMatrix.zero(module, module)
+    with pytest.raises(ValueError, match="cohomological degrees must be integers"):
+        Complex(RING_X, {0: module, 1: module}, {degree: zero})
+
+
 # -- shift ---------------------------------------------------------------------
 
 

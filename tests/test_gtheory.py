@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,20 @@ def test_kclass_arithmetic():
     one_minus_t = KClass({0: 1, 1: -1})
     assert one_minus_t * one_minus_t == KClass({0: 1, 1: -2, 2: 1})
     assert one_minus_t - one_minus_t == KClass.zero()
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ({0: 1.5}, "K-class coefficients must be integers"),
+    ({0: 1, 2.7: 2}, "K-class powers must be integers"),
+    ({2.0: 1}, "K-class powers must be integers"),
+    ({0: Fraction(5, 2)}, "K-class coefficients must be integers"),
+])
+def test_kclass_refuses_non_integers(coeffs, message):
+    # int() would round them: {0: 1.5, 2.7: 2} printed as 1 + 2*t^2
+    with pytest.raises(ValueError, match=message):
+        KClass(coeffs)
+    with pytest.raises(ValueError, match="must be integers"):
+        lambda_minus_one([1, 1.5])
 
 
 # -- classes of complexes --------------------------------------------------------------

@@ -35,6 +35,7 @@ from zeroloci.polyalg import (
 )
 
 from conftest import RING_X, RING_XY, dense_matmul, echelon_rank, random_homogeneous
+from poly_oracle import parse_poly as oracle_parse_poly
 
 RING_W = GradedRing(("x", "y"), (1, 2))
 
@@ -269,6 +270,58 @@ def test_parse_matches_polynomial_operators(tree, data):
     assert p == _evaluate(tree, RING_XY), text
     assert all(type(c) is Fraction for c in p.terms.values())
     assert parse_poly(str(p), RING_XY) == p
+
+
+def _outcome(parse, text: str, ring):
+    """The terms in order with their coefficient types, or the ParseError's
+    message and position."""
+    try:
+        p = parse(text, ring)
+    except ParseError as exc:
+        return str(exc), exc.position
+    return [(e, c, type(c)) for e, c in p.terms.items()]
+
+
+# tokens of the grammar and a few outside it: an unknown name, a Unicode
+# digit, a stray symbol, exponents past the limit, zeros
+_TOKENS = st.sampled_from(["x", "y", "z", "0", "1", "2", "3", "12", "007", "1024", "+", "-",
+                           "*", "/", "^", "(", ")", " ", "^2", "^0", "^999", "^1001", "0/",
+                           "\u0663", "$", "_"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TOKENS, max_size=16).map("".join))
+def test_parse_agrees_with_the_oracle_on_token_strings(text):
+    assert _outcome(parse_poly, text, RING_W) == _outcome(oracle_parse_poly, text, RING_W), text
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TREES, st.data())
+def test_parse_agrees_with_the_oracle_on_expression_trees(tree, data):
+    text = _render(tree, 1, lambda: data.draw(st.booleans()))
+    assert _outcome(parse_poly, text, RING_XY) == _outcome(oracle_parse_poly, text, RING_XY), text
+
+
+# the limits met by monomials alone, folded into one coefficient and exponent
+# list without a term dict: each step of x^1000 counts one product, 0 none
+@pytest.mark.parametrize("text, outcome", [
+    ("x^1000*" * 10 + "x",
+     ("the expression needs at least 10001 term products, more than the limit of 10000", 65)),
+    ("1024^1000", (f"the expression multiplies factors whose largest coefficients have 10004 "
+                   f"bits, more than the limit of {_MAX_COEFFICIENT_BITS}", 5)),
+    ("1024^999*x*1024^999", (f"the expression multiplies factors whose largest coefficients "
+                             f"have 19984 bits, more than the limit of "
+                             f"{_MAX_COEFFICIENT_BITS}", 10)),
+    ("0^0", [((0, 0), 1, Fraction)]),
+    ("0^1000*x", []),
+    ("0*(x + y)^1000",
+     ("the expression needs at least 10100 term products, more than the limit of 10000", 10)),
+])
+def test_parse_limits_on_monomials_are_pinned(text, outcome):
+    if isinstance(outcome, tuple):
+        outcome = (f"{outcome[0]} at position {outcome[1]}", outcome[1])
+    assert _outcome(parse_poly, text, RING_XY) == outcome
+    assert _outcome(oracle_parse_poly, text, RING_XY) == outcome
 
 
 def _polys(ring, max_exp=3, max_terms=4):
