@@ -22,14 +22,15 @@ moved here (PEP 562, `polyalg.forward_to_chains`): `polyalg.PolyMatrix` is
   Koszul subset layout.
 * zerolocus: the Koszul complex, the sym-GA invariants, the Jacobian, the
   cotangent complex and derived restriction.
-* homology: `homology_dimensions`, the table of any complex from its rank
-  cells.  A cell below MODULAR_MIN_ENTRIES entries (rows x columns) is
-  reduced exactly.  A larger one keeps its modular rank only when a
-  neighbour certifies it: d o d = 0 exactly, so rank(d^i)_d is at most
-  dim(C^i)_d - rank(d^{i-1})_d and dim(C^{i+1})_d - rank(d^{i+1})_d, any
-  lower bound standing in for a neighbour's rank; a modular rank meeting
-  one of these bounds is the rank over Q, and every other cell is reduced
-  exactly.
+* homology: `homology_dimensions`, the table of any complex, and `_ranks`,
+  the rank route to which `homology._assemble`, where every table is made,
+  sends the cells whose rank it does not know.  A cell below
+  MODULAR_MIN_ENTRIES entries (rows x columns) is reduced exactly.  A larger
+  one keeps its modular rank only when a neighbour certifies it: d o d = 0
+  exactly, so rank(d^i)_d is at most dim(C^i)_d - rank(d^{i-1})_d and
+  dim(C^{i+1})_d - rank(d^{i+1})_d, any lower bound standing in for a
+  neighbour's rank; a modular rank meeting one of these bounds is the rank
+  over Q, and every other cell is reduced exactly.
 """
 
 from __future__ import annotations
@@ -41,11 +42,8 @@ from functools import lru_cache
 from math import comb, gcd
 from operator import add
 
-from . import homology
-from .complexes import (Complex, ComplexInvariantError, WorkLimitError, check_generators,
-                        koszul_contractions)
-from .homology import (DimComparison, HilbertTable, _check_window, _degree_window, _table,
-                       _term_dims, compare_tables)
+from .complexes import Complex, ComplexInvariantError, check_generators, koszul_contractions
+from .homology import DimComparison, HilbertTable, _assemble, _degree_window, compare_tables
 from .polyalg import (GradedFreeModule, GradedRing, HomogeneityError, Polynomial, Record,
                       RingMismatch)
 from .zerolocus import PresentationError, ZeroLocusPresentation
@@ -720,21 +718,15 @@ def restrict(m: Complex, p: ZeroLocusPresentation) -> Complex:
 # homology: tables from rank cells
 # ---------------------------------------------------------------------------
 
-# measured per cell on the benchmark's Koszul complexes (Python 3.11): the two
-# routes break even at 1,000-2,000 entries, the modular one is 1.5-4x faster
-# at 2,500-3,400 entries and 10-40x faster above 30,000
+# measured per cell on the Koszul complex of 3 quadrics in 4 variables (Python
+# 3.11): the two routes break even at 1,000-2,000 entries, the modular one is
+# 1.5-4x faster at 2,500-3,400 entries and 10-40x faster above 30,000.  A
+# Groebner basis settles most cells of a Koszul table, so the large cells met
+# are those of truncated sym-GA tables, of tables past the Groebner work limits
+# and of the rank-route oracles of the tests: with every cell exact, the
+# rank-route table of four dense quadrics on five variables at cutoff 8 takes
+# 32 s instead of 1.1 s (Python 3.11, 2 cores)
 MODULAR_MIN_ENTRIES = 2000
-
-
-def _check_cells(dims: dict[tuple[int, int], int], cells) -> None:
-    """Raise WorkLimitError when a rank cell (i, d), the degree-d piece of
-    d^i: C^i -> C^{i+1}, has more than homology.MAX_CELL_ENTRIES entries."""
-    rows, cols = max(((dims.get((i + 1, d), 0), dims.get((i, d), 0)) for i, d in cells),
-                     key=lambda shape: shape[0] * shape[1], default=(0, 0))
-    limit = homology.MAX_CELL_ENTRIES
-    if rows * cols > limit:
-        raise WorkLimitError(f"the largest rank cell has {rows} x {cols} = {rows * cols} "
-                             f"entries, more than the limit of {limit}; lower the cutoff")
 
 
 def _ranks(c: Complex, degrees: range,
@@ -772,17 +764,13 @@ def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
     Raises WorkLimitError, before any matrix is assembled, when the table
     needs more than MAX_RANK_CELLS rank cells or MAX_TABLE_CELLS table
     cells, or its largest rank cell has more than MAX_CELL_ENTRIES entries
-    (the limits of `homology`).
+    (the limits of `homology`, applied by `homology._assemble`).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     if not c.support:
         return HilbertTable(cutoff, {})
-    degrees = _degree_window(c.terms, cutoff)
-    _check_window(len(c.differentials), len(c.terms), degrees)
-    dims = _term_dims(c.terms, degrees)
-    _check_cells(dims, [(i, d) for i in c.differentials for d in degrees])
-    return _table(cutoff, dims, _ranks(c, degrees))
+    return _assemble(c.terms, sorted(c.differentials), cutoff, None, lambda: c)
 
 
 def same_homology_dims(a: Complex, b: Complex, cutoff: int) -> DimComparison:

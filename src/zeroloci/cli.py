@@ -96,7 +96,6 @@ class ProblemFileError(ValueError):
 class ProblemFile(Record):
     __slots__ = ("ring", "ambient", "section", "kind", "cutoff", "sym_max",
                  "module_entries", "kappa", "potential_text")
-    __setattr__ = object.__setattr__  # mutable: run sets the cutoff
 
     def __init__(self, ring: GradedRing, ambient: list[tuple], section: list[tuple], kind: str,
                  cutoff: int | None, sym_max: int | None, module_entries: list | None,
@@ -349,9 +348,10 @@ def _presentation_echo(p: ZeroLocusPresentation) -> dict:
     }
 
 
-def _execute(kind: str, problem: ProblemFile, p: ZeroLocusPresentation,
-             report: Report) -> None:
-    cutoff = problem.cutoff if problem.cutoff is not None else default_cutoff(p)
+def _execute(kind: str, problem: ProblemFile, p: ZeroLocusPresentation, report: Report,
+             cutoff: int | None) -> None:
+    if cutoff is None:
+        cutoff = problem.cutoff if problem.cutoff is not None else default_cutoff(p)
     if kind == "homology":
         table = koszul_table(p, cutoff)
         report.status = "INFO"
@@ -411,8 +411,6 @@ def run(path: str, cutoff: int | None = None,
         raw = handle.read()
     digest = sha256(raw).hexdigest()
     problem = parse_problem_file(raw.decode("utf-8"))
-    if cutoff is not None:
-        problem.cutoff = cutoff
 
     if then is not None and problem.kind != "crit":
         raise ProblemFileError("--then only applies to the crit task")
@@ -429,11 +427,11 @@ def run(path: str, cutoff: int | None = None,
         report = Report(task=task_name, status="INFO", input_sha256=digest)
         report.presentation = _presentation_echo(p)
         if then is not None:
-            _execute(then, problem, p, report)
+            _execute(then, problem, p, report, cutoff)
     else:
         p = ZeroLocusPresentation(problem.ring, tuple(problem.ambient), tuple(problem.section))
         report = Report(task=problem.kind, status="INFO", input_sha256=digest)
-        _execute(problem.kind, problem, p, report)
+        _execute(problem.kind, problem, p, report, cutoff)
 
     report.elapsed_s = time.perf_counter() - started
     return report.exit_code, report
@@ -446,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Exact zero-locus computations and identity verifiers "
                     "over graded polynomial rings.")
     parser.add_argument("file", help="problem file (see the module docstring for the format)")
-    parser.add_argument("--cutoff", type=int, default=None,
+    parser.add_argument("--cutoff", default=None,
                         help="internal-degree cutoff (default: twice the sum of declared degrees)")
     parser.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
     parser.add_argument("--then", default=None, metavar="TASK",
@@ -454,7 +452,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        code, report = run(args.file, cutoff=args.cutoff, then=args.then)
+        cutoff = None if args.cutoff is None else _integer(args.cutoff,
+                                                           "--cutoff must be an integer")
+        code, report = run(args.file, cutoff=cutoff, then=args.then)
     except (CrossCheckError, ComplexInvariantError) as exc:
         # ComplexInvariantError is a ValueError, so it must be caught first
         print(f"engine fault: {exc}", file=sys.stderr)

@@ -9,8 +9,9 @@ key, primitive integer polynomial on grevlex keys) pairs.
 membership of every input).  Both raise `GroebnerWorkLimit` past named
 work limits.  `hilbert_numerator` and `monomial_height` read the Hilbert
 series and the height of the ideal of the leading monomials without
-enumerating monomials.  `homology` imports this module inside the Koszul
-table, so importing the package does not load it.
+enumerating monomials.  `hilbert_and_grade` reads both off a certified
+basis: the one call of the Koszul table, which imports this module there,
+so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from math import gcd
 from operator import add
 from collections.abc import Sequence
 
+from .complexes import ComplexInvariantError
 from .polyalg import GradedRing, Polynomial
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "MAX_GROEBNER_BITS",
     "groebner_basis",
     "groebner_failure",
+    "hilbert_and_grade",
     "hilbert_numerator",
     "monomial_height",
 ]
@@ -169,8 +172,8 @@ def _lcm_degree(weights: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]
 
 
 def groebner_basis(polys: Sequence[Polynomial], max_degree: int) -> list[_Keyed]:
-    """A Groebner basis in weighted grevlex of the ideal of nonzero homogeneous
-    polys, in degrees up to max_degree.
+    """A Groebner basis in weighted grevlex of the ideal of homogeneous polys,
+    in degrees up to max_degree; zero polys are skipped.
 
     Homogeneous Buchberger over Q: the inputs and the S-pairs are taken in
     order of weighted degree (normal selection, an S-pair at the degree of
@@ -193,7 +196,7 @@ def groebner_basis(polys: Sequence[Polynomial], max_degree: int) -> list[_Keyed]
     steps = _Steps()
     # (degree, order of arrival, an input polynomial or a pair of basis indices)
     queue = [(d, k, _keyed(p)) for k, p in enumerate(polys)
-             if (d := p.homogeneous_degree()) <= max_degree]
+             if not p.is_zero() and (d := p.homogeneous_degree()) <= max_degree]
     heapq.heapify(queue)
     arrivals = len(queue)
     basis: list[_Keyed] = []
@@ -259,6 +262,29 @@ def groebner_failure(basis: Sequence[_Keyed], polys: Sequence[Polynomial],
         if _reduce(_keyed(p), basis, steps, top_only=True):
             return f"input {k} does not reduce to 0"
     return None
+
+
+def hilbert_and_grade(ring: GradedRing, polys: Sequence[Polynomial],
+                      max_degree: int) -> tuple[dict[int, int], int] | None:
+    """(K, g) for I the ideal of the homogeneous polys, read off a Groebner
+    basis of I up to max_degree, certified: the ideal J of its leading
+    monomials equals in(I) up to max_degree, so
+    sum_d dim (R/J)_d t^d = K(t) / prod (1 - t^deg x_i) is the Hilbert series
+    of R/I up to t^max_degree (R/I and R/in(I) have one Hilbert function),
+    and g = height J <= height in(I) = grade I, with equality when the basis
+    is complete.  None when the basis or its certificate passes a work
+    limit; raises ComplexInvariantError when the certificate fails.
+    """
+    try:
+        basis = groebner_basis(polys, max_degree)
+        failure = groebner_failure(basis, polys, max_degree)
+    except GroebnerWorkLimit:
+        return None
+    if failure:
+        raise ComplexInvariantError(f"the Groebner basis of the entries is not certified: "
+                                    f"{failure}")
+    lead = [_grevlex_key(key) for key, _ in basis]
+    return hilbert_numerator(ring, lead), monomial_height(lead)
 
 
 def _minimal(gens) -> list[tuple[int, ...]]:

@@ -2,18 +2,21 @@
 
 Homology dimensions are computed cell by cell: for each cohomological
 degree i and internal degree d, two ranks over Q determine
-dim H^i(C)_d = dim(C^i)_d - rank(d^i)_d - rank(d^{i-1})_d.  One helper
-(`_table`) assembles every table from its ranks, and checks each rank
+dim H^i(C)_d = dim(C^i)_d - rank(d^i)_d - rank(d^{i-1})_d.  One function,
+`_assemble`, makes every table: it applies the work limits of this module,
+takes the ranks the caller already knows, gives rank 0 to every cell with
+an empty side, sends the cells left to the rank route, and checks each rank
 against the shape of its cell and each dimension for sign.
 
 The table of a Koszul complex K(f), f = (f_1..f_r), is read mostly off
 the ideal I = (f_1..f_r) (`koszul_table`).  A Groebner basis of I, certified
-exactly, gives the Hilbert function of R/I, hence rank(d^-1)_d =
-dim R_d - dim (R/I)_d, and the grade of I; depth sensitivity gives
-H^-i = 0 for i > r - grade, hence the ranks of d^-i for those i from the
-top down.  Only the cells d^-i with 2 <= i <= r - grade are left to the
-rank route, and only they build the Koszul complex; a regular sequence
-(grade r) leaves none, and past the Groebner work limits every cell is.
+exactly (`groebner.hilbert_and_grade`), gives the Hilbert function of R/I,
+hence rank(d^-1)_d = dim R_d - dim (R/I)_d, and the grade of I; depth
+sensitivity gives H^-i = 0 for i > r - grade, hence the ranks of d^-i for
+those i from the top down.  Only the cells d^-i with 2 <= i <= r - grade
+are left to the rank route, and only they build the Koszul complex; a
+regular sequence (grade r) leaves none, and past the Groebner work limits
+every cell is.
 
 The rank route, which takes the rank of each cell of an explicit
 differential, and `homology_dimensions`, the table of any complex, live in
@@ -27,17 +30,11 @@ regularity check is likewise only conclusive up to its cutoff.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 
-from .complexes import ComplexInvariantError, WorkLimitError
-from .polyalg import (
-    GradedFreeModule,
-    GradedRing,
-    Polynomial,
-    Record,
-    forward_to_chains,
-    graded_piece_dim,
-)
+from . import zerolocus
+from .complexes import Complex, ComplexInvariantError, WorkLimitError
+from .polyalg import GradedFreeModule, Record, forward_to_chains, graded_piece_dim
 from .zerolocus import ZeroLocusPresentation, koszul_terms
 
 __all__ = [
@@ -134,34 +131,48 @@ def _degree_window(terms: Mapping[int, GradedFreeModule], cutoff: int) -> range:
     return range(min(0, lowest), cutoff + 1)
 
 
-def _check_window(differentials: int, terms: int, degrees: range) -> None:
-    """Raise WorkLimitError when the table needs more than MAX_RANK_CELLS rank
-    cells or MAX_TABLE_CELLS table cells."""
+def _assemble(terms: Mapping[int, GradedFreeModule], differential_degrees: Sequence[int],
+              cutoff: int, known: Callable[[dict, range], dict] | None,
+              build: Callable[[], Complex]) -> HilbertTable:
+    """The table up to the cutoff of a complex with these terms and
+    differentials d^i, i in differential_degrees.
+
+    In order: WorkLimitError past MAX_RANK_CELLS rank cells or
+    MAX_TABLE_CELLS table cells; the exact ranks known(dims, degrees) gives,
+    for dims the term dimensions; rank 0 for a cell with an empty side;
+    WorkLimitError when a cell left has more than MAX_CELL_ENTRIES entries,
+    else those cells by the rank route on the complex build() returns.
+    ComplexInvariantError when a rank is outside [0, min(rows, cols)] of
+    its cell or a dimension comes out negative: an engine fault.
+    """
+    degrees = _degree_window(terms, cutoff)
     # not len(degrees): a window of 2^63 degrees or more overflows it
     window = degrees.stop - degrees.start
-    cells = differentials * window
-    if cells > MAX_RANK_CELLS:
-        raise WorkLimitError(f"the table needs {cells} rank cells, more than the limit "
-                             f"of {MAX_RANK_CELLS}; lower the cutoff")
-    cells = terms * window
-    if cells > MAX_TABLE_CELLS:
-        raise WorkLimitError(f"the table needs {cells} table cells, more than the limit "
-                             f"of {MAX_TABLE_CELLS}; lower the cutoff")
+    for count, kind, limit in ((len(differential_degrees) * window, "rank", MAX_RANK_CELLS),
+                               (len(terms) * window, "table", MAX_TABLE_CELLS)):
+        if count > limit:
+            raise WorkLimitError(f"the table needs {count} {kind} cells, more than the limit "
+                                 f"of {limit}; lower the cutoff")
+    dims = {(i, d): terms[i].graded_dim(d) for i in sorted(terms) for d in degrees}
+    ranks = known(dims, degrees) if known else {}
+    cells = []
+    for i in differential_degrees:
+        for d in degrees:
+            if (i, d) in ranks:
+                continue
+            if dims.get((i, d)) and dims.get((i + 1, d)):
+                cells.append((dims[i + 1, d], dims[i, d]))
+            else:
+                ranks[i, d] = 0
+    if cells:
+        rows, cols = max(cells, key=lambda shape: shape[0] * shape[1])
+        if rows * cols > MAX_CELL_ENTRIES:
+            raise WorkLimitError(f"the largest rank cell has {rows} x {cols} = {rows * cols} "
+                                 f"entries, more than the limit of {MAX_CELL_ENTRIES}; "
+                                 f"lower the cutoff")
+        from . import chains  # the rank route loads here only
 
-
-def _term_dims(terms: Mapping[int, GradedFreeModule], degrees: range) -> dict[tuple[int, int], int]:
-    """dim C^i_d for every term and degree."""
-    return {(i, d): terms[i].graded_dim(d) for i in sorted(terms) for d in degrees}
-
-
-def _table(cutoff: int, dims: dict[tuple[int, int], int],
-           ranks: dict[tuple[int, int], int]) -> HilbertTable:
-    """dim H^i_d = dim C^i_d - rank(d^i)_d - rank(d^{i-1})_d from the term
-    dimensions and the ranks (absent ranks are 0).
-
-    Raises ComplexInvariantError when a rank is outside [0, min(rows, cols)]
-    of its cell or a dimension comes out negative: an engine fault.
-    """
+        ranks = chains._ranks(build(), degrees, ranks)
     for (i, d), rank in ranks.items():
         most = min(dims.get((i + 1, d), 0), dims.get((i, d), 0))
         if not 0 <= rank <= most:
@@ -177,40 +188,6 @@ def _table(cutoff: int, dims: dict[tuple[int, int], int],
     return HilbertTable(cutoff, entries)
 
 
-def _certify(basis: list, entries: list[Polynomial], max_degree: int) -> None:
-    """Raise ComplexInvariantError unless basis, as `groebner.groebner_basis`
-    gives it, is a Groebner basis of the entries' ideal in degrees up to
-    max_degree."""
-    from . import groebner
-
-    failure = groebner.groebner_failure(basis, entries, max_degree)
-    if failure:
-        raise ComplexInvariantError(f"the Groebner basis of the entries is not certified: "
-                                    f"{failure}")
-
-
-def _hilbert_and_grade(ring: GradedRing, entries: list[Polynomial],
-                       max_degree: int) -> tuple[dict[int, int], int] | None:
-    """(K, g) for I the ideal of the nonzero homogeneous entries, read off a
-    Groebner basis of I up to max_degree, certified: the ideal J of its
-    leading monomials equals in(I) up to max_degree, so
-    sum_d dim (R/J)_d t^d = K(t) / prod (1 - t^deg x_i) is the Hilbert
-    series of R/I up to t^max_degree (R/I and R/in(I) have one Hilbert
-    function), and g = height J <= height in(I) = grade I, with equality
-    when the basis is complete.  None when the basis or its certificate
-    passes a Groebner work limit.  The groebner module is imported here, so
-    importing the package does not load it."""
-    from . import groebner
-
-    try:
-        basis = groebner.groebner_basis(entries, max_degree)
-        _certify(basis, entries, max_degree)
-    except groebner.GroebnerWorkLimit:
-        return None
-    lead = [groebner._grevlex_key(key) for key, _ in basis]
-    return groebner.hilbert_numerator(ring, lead), groebner.monomial_height(lead)
-
-
 def koszul_table(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
     """homology_dimensions(koszul_complex(p), cutoff), mostly without rank cells.
 
@@ -224,36 +201,29 @@ def koszul_table(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
       so rank(d^-i)_d = dim C^-i_d - rank(d^-(i+1))_d from the top down.
       R is Cohen-Macaulay, so grade I is its height, n - dim R/in(I).
     The basis is computed and certified up to the cutoff only
-    (`_hilbert_and_grade`): that gives HF exactly there, and a lower bound
-    g on the grade, which depth sensitivity accepts in its place (exact
-    when the basis is complete).  A failed certificate, or two values of
-    rank(d^-1) at g = r that disagree, raise ComplexInvariantError.  The
+    (`groebner.hilbert_and_grade`): that gives HF exactly there, and a lower
+    bound g on the grade, which depth sensitivity accepts in its place
+    (exact when the basis is complete).  A failed certificate, or two values
+    of rank(d^-1) at g = r that disagree, raise ComplexInvariantError.  The
     cells d^-i with 2 <= i <= r - g go through the rank route, with the
     ranks above as exact neighbours; only they need the Koszul complex.
-    Past the Groebner work limits of `groebner.groebner_basis` and
-    `groebner.groebner_failure` every cell takes the rank route.  The window
-    limits apply first, as in homology_dimensions, and MAX_CELL_ENTRIES,
-    before the Koszul complex is built, to the cells still computed.
+    Past the Groebner work limits every cell takes the rank route.  The
+    limits of homology_dimensions apply, in its order (`_assemble`).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    terms = koszul_terms(p)
     entries = [f for f, _ in p.all_entries if not f.is_zero()]
     r = len(p.all_entries)
-    degrees = _degree_window(terms, cutoff)
-    _check_window(r if entries else 0, len(terms), degrees)
-    dims = _term_dims(terms, degrees)
-    ranks = {}
-    ideal = _hilbert_and_grade(p.ring, entries, cutoff)
-    if ideal is None:
-        # past the Groebner work limits every cell takes the rank route
-        left = range(-r, 0)
-    else:
+
+    def known(dims: dict[tuple[int, int], int], degrees: range) -> dict[tuple[int, int], int]:
+        from . import groebner
+
+        ideal = groebner.hilbert_and_grade(p.ring, entries, cutoff)
+        if ideal is None:
+            return {}
         numerator, grade = ideal
-        left = range(-(r - grade), -1)
+        ranks = {}
         for d in degrees:
-            if not r:
-                break
             ranks[-1, d] = dims[0, d] - sum(c * graded_piece_dim(p.ring, d - k)
                                             for k, c in numerator.items())
             below = 0
@@ -264,19 +234,10 @@ def koszul_table(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
                         f"rank {ranks[-1, d]} of d^-1 in degree {d} from the Hilbert "
                         f"function but {rank} by depth sensitivity")
                 ranks[-i, d] = below = rank
-    cells = []
-    for i in left:
-        for d in degrees:
-            if entries and dims[i, d] and dims[i + 1, d]:
-                cells.append((i, d))
-            else:
-                ranks[i, d] = 0
-    if cells:
-        from . import chains  # the rank route and the Koszul complex load here only
+        return ranks
 
-        chains._check_cells(dims, cells)
-        ranks = chains._ranks(chains.koszul_complex(p), degrees, ranks)
-    return _table(cutoff, dims, ranks)
+    return _assemble(koszul_terms(p), range(-r, 0) if entries else (), cutoff, known,
+                     lambda: zerolocus.koszul_complex(p))
 
 
 def compare_tables(a: HilbertTable, b: HilbertTable) -> tuple[int, int, int, int] | None:
@@ -299,5 +260,5 @@ def is_regular_up_to(p: ZeroLocusPresentation, cutoff: int) -> RegularityVerdict
 
 
 __getattr__, __dir__ = forward_to_chains(globals(), (
-    "MODULAR_MIN_ENTRIES", "_check_cells", "_ranks", "homology_dimensions",
+    "MODULAR_MIN_ENTRIES", "_ranks", "homology_dimensions",
     "same_homology_dims", "euler_characteristics_match"))

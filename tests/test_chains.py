@@ -43,7 +43,7 @@ FORWARDED = {
                 "direct_sum", "tensor", "dual", "contraction_complex", "sym_two_term"),
     zerolocus: ("JacobianData", "SymInvariantsResult", "_koszul_layout", "koszul_complex",
                 "sym_cofib_invariants", "jacobian_data", "cotangent_complex", "restrict"),
-    homology: ("MODULAR_MIN_ENTRIES", "_check_cells", "_ranks", "homology_dimensions",
+    homology: ("MODULAR_MIN_ENTRIES", "_ranks", "homology_dimensions",
                "same_homology_dims", "euler_characteristics_match"),
 }
 

@@ -246,6 +246,22 @@ def test_main_integer_fields_take_ascii_digits_only(tmp_path, capsys, old, new, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0663"])
+def test_main_cutoff_option_takes_ascii_digits_only(tmp_path, capsys, text):
+    assert main([write(tmp_path, DIVISOR), "--cutoff", text]) == 2
+    assert "--cutoff must be an integer" in capsys.readouterr().err
+
+
+def test_cutoff_override_leaves_the_problem_file_frozen(tmp_path):
+    problem = parse_problem_file(DIVISOR)
+    with pytest.raises(AttributeError):
+        problem.cutoff = 3
+    code, report = run(write(tmp_path, DIVISOR), cutoff=3)
+    assert code == 0 and {t.cutoff for t in report.tables.values()} == {3}
+    code, report = run(write(tmp_path, CRIT), cutoff=3, then="verify-excess")
+    assert code == 0 and {t.cutoff for t in report.tables.values()} == {3}
+
+
 def test_integer_fields_take_a_sign_and_leading_zeros():
     problem = parse_problem_file(TRUNCATED_SYM.replace("cutoff = 8", "cutoff = +008")
                                  .replace("y : 1", "y : 01").replace("sym_max = 1", "sym_max = -0"))

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import zeroloci
 from zeroloci import chains, groebner, homology
-from zeroloci.complexes import ComplexInvariantError, cone, dual, identity_chain_map, tensor, zero_complex
+from zeroloci.complexes import (
+    ComplexInvariantError, WorkLimitError, cone, dual, identity_chain_map, tensor, zero_complex)
 from zeroloci.homology import (
     HilbertTable,
     default_cutoff,
@@ -27,7 +28,8 @@ from zeroloci.homology import (
 )
 from zeroloci.groebner import groebner_basis, hilbert_numerator
 from zeroloci.polyalg import (
-    GradedRing, Polynomial, PolyMatrix, graded_piece_basis, parse_poly, rational_rank)
+    GradedFreeModule, GradedRing, Polynomial, PolyMatrix, graded_piece_basis, parse_poly,
+    rational_rank)
 from zeroloci.zerolocus import ZeroLocusPresentation, koszul_complex
 
 from conftest import (
@@ -279,7 +281,7 @@ def test_koszul_table_matches_rank_route_on_random_entries(ambient, section, rin
 
 def _grade(ring, texts):
     entries = [parse_poly(t, ring) for t in texts]
-    return homology._hilbert_and_grade(ring, [f for f in entries if not f.is_zero()], 10)[1]
+    return groebner.hilbert_and_grade(ring, [f for f in entries if not f.is_zero()], 10)[1]
 
 
 RING_X0_L = GradedRing(("x0", "x1", "x2", "x3", "x4"), (1,) * 5)
@@ -299,7 +301,7 @@ def test_basis_truncated_at_the_cutoff_bounds_the_grade_from_below():
     # (x*y + z^2, x^2) is regular, but z^4 enters in(I) only in degree 4: up to
     # degree 3 the leading monomials x*y, x^2, x*z^2 have height 1
     entries = [parse_poly(t, RING_XYZ) for t in ("x*y + z^2", "x^2")]
-    assert [homology._hilbert_and_grade(RING_XYZ, entries, c)[1] for c in (3, 4)] == [1, 2]
+    assert [groebner.hilbert_and_grade(RING_XYZ, entries, c)[1] for c in (3, 4)] == [1, 2]
     p = pres(RING_XYZ, [("x*y + z^2", 2), ("x^2", 2)])
     for cutoff in (3, 4):
         assert koszul_table(p, cutoff) == _oracle(p, cutoff)
@@ -374,22 +376,28 @@ def test_overstated_grade_is_an_engine_fault(monkeypatch, section, message):
 def test_table_refuses_a_rank_larger_than_its_cell():
     # d^-1: C^-1 -> C^0 in degree 0, where C^-1 is 0: no rank above 0 fits
     with pytest.raises(ComplexInvariantError, match="outside"):
-        homology._table(0, {(0, 0): 1, (-1, 0): 0}, {(-1, 0): 1})
+        homology._assemble({0: GradedFreeModule(RING_X, (0,))}, (), 0,
+                           lambda dims, degrees: {(-1, 0): 1}, None)
 
 
-def test_groebner_certificate_refuses_a_basis_short_of_one_element():
+def test_groebner_certificate_refuses_a_basis_short_of_one_element(monkeypatch):
     # the last element comes from the S-pair of the two quadrics, in degree 3;
     # the certificate checks pairs and inputs up to and including its degree
     entries = [parse_poly(t, RING_XYZ) for t in ("x^2 - y*z", "x*y - z^2")]
     basis = groebner_basis(entries, 10)
     # a leading key is the exponent vector negated (and reversed)
     assert [-sum(lead) for lead, _ in basis] == [2, 2, 3]
-    homology._certify(basis, entries, 10)
+
+    def certify(given, max_degree):
+        monkeypatch.setattr(groebner, "groebner_basis", lambda polys, top: given)
+        groebner.hilbert_and_grade(RING_XYZ, entries, max_degree)
+
+    certify(basis, 10)
     with pytest.raises(ComplexInvariantError, match="S-pair"):
-        homology._certify(basis[:-1], entries, 3)
-    homology._certify(basis[:-1], entries, 2)
+        certify(basis[:-1], 3)
+    certify(basis[:-1], 2)
     with pytest.raises(ComplexInvariantError, match="input 1"):
-        homology._certify(basis[:1], entries, 2)
+        certify(basis[:1], 2)
 
 
 def test_certificate_of_dense_quadrics_stays_under_the_work_limit(monkeypatch):
@@ -401,8 +409,8 @@ def test_certificate_of_dense_quadrics_stays_under_the_work_limit(monkeypatch):
     p = ZeroLocusPresentation(RING_X0_L, (), tuple(
         (Polynomial(RING_X0_L, {e: rng.randint(-3, 3) for e in basis}), 2) for _ in range(4)))
     ideals = []
-    hilbert_and_grade = homology._hilbert_and_grade
-    monkeypatch.setattr(homology, "_hilbert_and_grade",
+    hilbert_and_grade = groebner.hilbert_and_grade
+    monkeypatch.setattr(groebner, "hilbert_and_grade",
                         lambda *args: ideals.append(hilbert_and_grade(*args)) or ideals[-1])
     table = koszul_table(p, 8)
     [ideal] = ideals
@@ -428,6 +436,41 @@ def test_groebner_work_limit_falls_back_to_the_rank_route(monkeypatch, limit):
     [known] = calls
     assert set(known.values()) == {0}
     assert (-1, 2) not in known
+
+
+def test_groebner_basis_skips_zero_inputs():
+    x = parse_poly("x", RING_XY)
+    assert groebner_basis([RING_XY.zero()], 5) == []
+    assert groebner_basis([RING_XY.zero(), x], 5) == groebner_basis([x], 5)
+
+
+HUGE = 10**20
+
+
+# the limits of a Koszul table hold, with its messages, for the table of any
+# complex; here the truncated sym-GA invariants (n_max = 1 of two entries)
+@pytest.mark.parametrize("section, cutoff, cell_limit, message", [
+    ([("x", 1), ("y", 1)], HUGE, None,
+     f"the table needs {HUGE + 1} rank cells, more than the limit of {homology.MAX_RANK_CELLS}"),
+    # the zero section has no differential: two terms over 200001 degrees
+    ([("0", 1), ("0", 1)], 200000, None,
+     f"the table needs 400002 table cells, more than the limit of {homology.MAX_TABLE_CELLS}"),
+    # d^-1 in degree 8 maps two pieces of 8 monomials to one of 9
+    ([("x", 1), ("y", 1)], 8, 100,
+     "the largest rank cell has 9 x 16 = 144 entries, more than the limit of 100"),
+])
+def test_truncated_sym_ga_table_limits_raise_before_any_matrix(monkeypatch, section, cutoff,
+                                                                cell_limit, message):
+    result = chains.sym_cofib_invariants(pres(RING_XY, section), 1)
+    assert result.truncated
+    if cell_limit is not None:
+        monkeypatch.setattr(homology, "MAX_CELL_ENTRIES", cell_limit)
+    assembled = []
+    monkeypatch.setattr(PolyMatrix, "degree_rows", lambda m, d: assembled.append(d))
+    with pytest.raises(WorkLimitError) as caught:
+        homology_dimensions(result.complex, cutoff)
+    assert str(caught.value) == message + "; lower the cutoff"
+    assert assembled == []
 
 
 def test_hilbert_numerator_of_monomial_ideals():
