@@ -3,10 +3,11 @@
 Koszul tables are read off the ideal (`homology.koszul_table`), so only the
 rank cells a Groebner basis leaves, truncated sym-GA invariants,
 `gtheory.kclass_via_homology` and library callers build a differential.
-They import this module where they do, so `import zeroloci` or
-`zeroloci.cli` does not load it.  The layer modules forward the names that
-moved here (PEP 562, `polyalg.forward_to_chains`): `polyalg.PolyMatrix` is
-`chains.PolyMatrix`, and so on.  By layer:
+They import this module where they do, as `homology._ranks` does for its
+kernels, so `import zeroloci` or `zeroloci.cli` does not load it; it imports
+nothing from `homology`.  A name in the `__all__` of a layer module that the
+module does not define resolves here (PEP 562, `polyalg.forward_to_chains`):
+`polyalg.PolyMatrix` is `chains.PolyMatrix`, and so on.  By layer:
 
 * polyalg: `PolyMatrix`, a homogeneous matrix between twisted free modules.
   Its degree-d piece is assembled as sparse integer rows (the rational
@@ -22,15 +23,6 @@ moved here (PEP 562, `polyalg.forward_to_chains`): `polyalg.PolyMatrix` is
   Koszul subset layout.
 * zerolocus: the Koszul complex, the sym-GA invariants, the Jacobian, the
   cotangent complex and derived restriction.
-* homology: `homology_dimensions`, the table of any complex, and `_ranks`,
-  the rank route to which `homology._assemble`, where every table is made,
-  sends the cells whose rank it does not know.  A cell below
-  MODULAR_MIN_ENTRIES entries (rows x columns) is reduced exactly.  A larger
-  one keeps its modular rank only when a neighbour certifies it: d o d = 0
-  exactly, so rank(d^i)_d is at most dim(C^i)_d - rank(d^{i-1})_d and
-  dim(C^{i+1})_d - rank(d^{i+1})_d, any lower bound standing in for a
-  neighbour's rank; a modular rank meeting one of these bounds is the rank
-  over Q, and every other cell is reduced exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +35,6 @@ from math import comb, gcd
 from operator import add
 
 from .complexes import Complex, ComplexInvariantError, check_generators, koszul_contractions
-from .homology import DimComparison, HilbertTable, _assemble, _degree_window, compare_tables
 from .polyalg import (GradedFreeModule, GradedRing, HomogeneityError, Polynomial, Record,
                       RingMismatch)
 from .zerolocus import PresentationError, ZeroLocusPresentation
@@ -56,8 +47,6 @@ __all__ = [
     "identity_chain_map", "module_map_chain",
     "JacobianData", "SymInvariantsResult", "koszul_complex", "sym_cofib_invariants",
     "cotangent_complex", "jacobian_data", "restrict",
-    "MODULAR_MIN_ENTRIES", "homology_dimensions", "same_homology_dims",
-    "euler_characteristics_match",
 ]
 
 
@@ -712,83 +701,3 @@ def restrict(m: Complex, p: ZeroLocusPresentation) -> Complex:
     if m.ring != p.ring:
         raise RingMismatch("complex and presentation over different rings")
     return tensor(m, koszul_complex(p))
-
-
-# ---------------------------------------------------------------------------
-# homology: tables from rank cells
-# ---------------------------------------------------------------------------
-
-# measured per cell on the Koszul complex of 3 quadrics in 4 variables (Python
-# 3.11): the two routes break even at 1,000-2,000 entries, the modular one is
-# 1.5-4x faster at 2,500-3,400 entries and 10-40x faster above 30,000.  A
-# Groebner basis settles most cells of a Koszul table, so the large cells met
-# are those of truncated sym-GA tables, of tables past the Groebner work limits
-# and of the rank-route oracles of the tests: with every cell exact, the
-# rank-route table of four dense quadrics on five variables at cutoff 8 takes
-# 32 s instead of 1.1 s (Python 3.11, 2 cores)
-MODULAR_MIN_ENTRIES = 2000
-
-
-def _ranks(c: Complex, degrees: range,
-           known: dict[tuple[int, int], int] | None = None) -> dict[tuple[int, int], int]:
-    """Rank over Q of d^i in degree d for every differential and degree.
-
-    Cells in known are taken as given, exact, and stand as neighbours in the
-    certificate.  Small cells are exact; large ones are modular and kept
-    where the certificate of the module docstring holds, else reduced
-    exactly from the rows the modular rank was taken of.
-    """
-    ranks = dict(known or {})
-    modular = []
-    for i, m in sorted(c.differentials.items()):
-        for d in degrees:
-            if (i, d) in ranks:
-                continue
-            if m.target.graded_dim(d) * m.source.graded_dim(d) < MODULAR_MIN_ENTRIES:
-                ranks[i, d] = matrix_rank_in_degree(m, d)
-            else:
-                rows, ncols = m.degree_rows(d)
-                ranks[i, d] = modular_rank(rows, ncols)
-                modular.append((i, d, rows))
-    for i, d, rows in modular:
-        r = ranks[i, d]
-        if (r != c.term(i).graded_dim(d) - ranks.get((i - 1, d), 0)
-                and r != c.term(i + 1).graded_dim(d) - ranks.get((i + 1, d), 0)):
-            ranks[i, d] = rational_rank(rows)
-    return ranks
-
-
-def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
-    """Exact homology dimensions for all internal degrees <= cutoff.
-
-    Raises WorkLimitError, before any matrix is assembled, when the table
-    needs more than MAX_RANK_CELLS rank cells or MAX_TABLE_CELLS table
-    cells, or its largest rank cell has more than MAX_CELL_ENTRIES entries
-    (the limits of `homology`, applied by `homology._assemble`).
-    """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    if not c.support:
-        return HilbertTable(cutoff, {})
-    return _assemble(c.terms, sorted(c.differentials), cutoff, None, lambda: c)
-
-
-def same_homology_dims(a: Complex, b: Complex, cutoff: int) -> DimComparison:
-    """PASS when the homology tables agree everywhere up to the cutoff."""
-    if a.ring != b.ring:
-        raise RingMismatch("comparing complexes over different rings")
-    table_a = homology_dimensions(a, cutoff)
-    table_b = homology_dimensions(b, cutoff)
-    witness = compare_tables(table_a, table_b)
-    return DimComparison(witness is None, witness, table_a, table_b)
-
-
-def euler_characteristics_match(c: Complex, cutoff: int) -> bool:
-    """Degreewise Euler characteristic of homology equals that of the terms."""
-    table = homology_dimensions(c, cutoff)
-    for d in _degree_window(c.terms, cutoff):
-        chi_terms = sum((-1) ** (i % 2) * c.term(i).graded_dim(d) for i in c.support)
-        chi_homology = sum((-1) ** (i % 2) * table.dim(i, d) for i in table.cohomological_degrees())
-        if chi_terms != chi_homology:
-            return False
-    return True

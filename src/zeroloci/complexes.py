@@ -12,10 +12,10 @@ Chain maps and the operations on complexes (shift, cone, tensor, dual,
 direct sum, twist, symmetric powers of two-term complexes, and
 `contraction_complex`, the one builder of every complex in the Koszul
 subset layout) live in the chain-level layer, `chains`, which loads on first
-use; this module forwards their names there.  The constructors whose size
-can grow exponentially in their input count the generators they would
-build first and raise WorkLimitError, before allocating anything, above
-MAX_GENERATORS (`check_generators`).
+use; the names of this module's `__all__` it does not define resolve there.
+The constructors whose size can grow exponentially in their input count the
+generators they would build first and raise WorkLimitError, before
+allocating anything, above MAX_GENERATORS (`check_generators`).
 """
 
 from __future__ import annotations
@@ -166,7 +166,4 @@ def koszul_contractions(sub: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]
     return [(k, sub[:p] + sub[p + 1:], -1 if p % 2 else 1) for p, k in enumerate(sub)]
 
 
-__getattr__, __dir__ = forward_to_chains(globals(), (
-    "ChainMap", "zero_complex", "module_complex", "unit_complex", "identity_chain_map",
-    "module_map_chain", "twist_complex", "shift", "cone", "direct_sum", "tensor", "dual",
-    "contraction_complex", "sym_two_term"))
+__getattr__, __dir__ = forward_to_chains(globals())

@@ -273,7 +273,8 @@ def hilbert_and_grade(ring: GradedRing, polys: Sequence[Polynomial],
     of R/I up to t^max_degree (R/I and R/in(I) have one Hilbert function),
     and g = height J <= height in(I) = grade I, with equality when the basis
     is complete.  None when the basis or its certificate passes a work
-    limit; raises ComplexInvariantError when the certificate fails.
+    limit; raises ComplexInvariantError when the certificate fails, and
+    ValueError for the unit ideal (`monomial_height`).
     """
     try:
         basis = groebner_basis(polys, max_degree)
@@ -344,9 +345,12 @@ def monomial_height(gens) -> int:
 
     R/J has dimension nvars minus this: the coordinate subspace on a set of
     variables lies in the zero set of J exactly when no generator is a
-    monomial in those variables alone.
+    monomial in those variables alone.  ValueError for the unit ideal (a
+    generator 1, with empty support), which no set of variables meets.
     """
     supports = [frozenset(i for i, e in enumerate(g) if e) for g in _minimal(gens)]
+    if frozenset() in supports:
+        raise ValueError("the unit ideal has no height: a generator is the monomial 1")
 
     def meets(supports, k: int) -> bool:
         if not supports:

@@ -14,8 +14,8 @@ exterior powers of the entries) or taken as a product of classes.  The
 homology routes read Koszul tables (`homology.koszul_table`), which build a
 differential only for the rank cells a Groebner basis of the entries leaves.
 A truncated sym-GA check compares such a table with that of the invariants,
-built directly (`chains.sym_cofib_invariants`); it and `kclass_via_homology`
-import the chain-level layer where they need it.
+built directly (`chains.sym_cofib_invariants`), where it imports the
+chain-level layer.
 
 The excess-intersection identity is proved, not sampled: a chain
 isomorphism from the self-intersection kos(f, f) (the entries listed
@@ -39,7 +39,8 @@ from .complexes import (
     check_generators,
     koszul_contractions,
 )
-from .homology import DimComparison, HilbertTable, compare_tables, koszul_table
+from .homology import (DimComparison, HilbertTable, compare_tables, homology_dimensions,
+                       koszul_table)
 from .polyalg import GradedFreeModule, GradedRing, ParseError, Record, RingMismatch, as_integers
 from .zerolocus import PresentationError, ZeroLocusPresentation, koszul_terms
 
@@ -222,8 +223,6 @@ def kclass_via_homology(c: Complex, cutoff: int | None = None) -> KClass:
     if cutoff is None:
         cutoff = max(twists)
     cutoff = max(cutoff, max(twists))
-    from .chains import homology_dimensions
-
     return _kclass_of_table(homology_dimensions(c, cutoff), c.ring)
 
 
@@ -400,7 +399,7 @@ def verify_sym_ga(p: ZeroLocusPresentation, cutoff: int,
     if n_max is None or n_max >= p.rank:
         table = koszul_table(p, cutoff)
         return DimComparison(True, None, table, table)
-    from .chains import homology_dimensions, sym_cofib_invariants
+    from .chains import sym_cofib_invariants
 
     table_a = homology_dimensions(sym_cofib_invariants(p, n_max).complex, cutoff)
     table_b = koszul_table(p, cutoff)

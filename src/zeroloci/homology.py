@@ -18,10 +18,9 @@ are left to the rank route, and only they build the Koszul complex; a
 regular sequence (grade r) leaves none, and past the Groebner work limits
 every cell is.
 
-The rank route, which takes the rank of each cell of an explicit
-differential, and `homology_dimensions`, the table of any complex, live in
-the chain-level layer, `chains`, which loads on first use; this module
-forwards their names there.
+The cells left go to the rank route, `_ranks`, which alone loads the
+chain-level layer, `chains`, for its kernels; so `homology_dimensions`, the
+table of any complex, loads it only for a complex with rank cells left.
 
 Agreement of two tables up to a cutoff is this package's certificate of
 quasi-isomorphism; it is a statement about dimensions only, and the
@@ -34,7 +33,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 from . import zerolocus
 from .complexes import Complex, ComplexInvariantError, WorkLimitError
-from .polyalg import GradedFreeModule, Record, forward_to_chains, graded_piece_dim
+from .polyalg import GradedFreeModule, Record, RingMismatch, graded_piece_dim
 from .zerolocus import ZeroLocusPresentation, koszul_terms
 
 __all__ = [
@@ -43,6 +42,7 @@ __all__ = [
     "MAX_RANK_CELLS",
     "MAX_TABLE_CELLS",
     "MAX_CELL_ENTRIES",
+    "MODULAR_MIN_ENTRIES",
     "DimComparison",
     "RegularityVerdict",
     "homology_dimensions",
@@ -67,6 +67,14 @@ MAX_TABLE_CELLS = 20000
 # columns), an 8 MB int64 array for the modular kernel.  The largest cell
 # computed in the tests is 420 x 420; the benchmark workloads compute none
 MAX_CELL_ENTRIES = 1000000
+# a cell with at least this many entries takes the modular kernel.  Per cell on
+# the Koszul complex of 3 quadrics in 4 variables (Python 3.11), the kernels
+# break even at 1,000-2,000 entries; the modular one is 1.5-4x faster at
+# 2,500-3,400 and 10-40x faster above 30,000.  Large cells come from truncated
+# sym-GA tables, tables past the Groebner work limits and the tests' rank-route
+# oracles: with every cell exact, the rank-route table of four dense quadrics
+# on five variables at cutoff 8 takes 32 s instead of 1.1 s (2 cores)
+MODULAR_MIN_ENTRIES = 2000
 
 
 class HilbertTable(Record):
@@ -161,18 +169,17 @@ def _assemble(terms: Mapping[int, GradedFreeModule], differential_degrees: Seque
             if (i, d) in ranks:
                 continue
             if dims.get((i, d)) and dims.get((i + 1, d)):
-                cells.append((dims[i + 1, d], dims[i, d]))
+                cells.append((i, d))
             else:
                 ranks[i, d] = 0
     if cells:
-        rows, cols = max(cells, key=lambda shape: shape[0] * shape[1])
+        rows, cols = max(((dims[i + 1, d], dims[i, d]) for i, d in cells),
+                         key=lambda shape: shape[0] * shape[1])
         if rows * cols > MAX_CELL_ENTRIES:
             raise WorkLimitError(f"the largest rank cell has {rows} x {cols} = {rows * cols} "
                                  f"entries, more than the limit of {MAX_CELL_ENTRIES}; "
                                  f"lower the cutoff")
-        from . import chains  # the rank route loads here only
-
-        ranks = chains._ranks(build(), degrees, ranks)
+        ranks = _ranks(build(), cells, dims, ranks)
     for (i, d), rank in ranks.items():
         most = min(dims.get((i + 1, d), 0), dims.get((i, d), 0))
         if not 0 <= rank <= most:
@@ -186,6 +193,52 @@ def _assemble(terms: Mapping[int, GradedFreeModule], differential_degrees: Seque
         if h:
             entries[i, d] = h
     return HilbertTable(cutoff, entries)
+
+
+def _ranks(c: Complex, cells: list[tuple[int, int]], dims: dict[tuple[int, int], int],
+           ranks: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """Add to ranks the rank over Q of d^i in degree d for each cell (i, d) of c.
+
+    dims holds dim(C^i)_d.  A cell below MODULAR_MIN_ENTRIES entries is
+    reduced exactly.  A larger one keeps its modular rank only when a
+    neighbour certifies it: d o d = 0 exactly, so rank(d^i)_d is at most
+    dim(C^i)_d - rank(d^{i-1})_d and dim(C^{i+1})_d - rank(d^{i+1})_d, a rank
+    in ranks or any lower bound standing in for a neighbour's; a modular rank
+    meeting one of these bounds is the rank over Q, and every other cell is
+    reduced exactly from the rows its modular rank was taken of.
+    """
+    from . import chains  # the rank route loads here only
+
+    modular = []
+    for i, d in cells:
+        m = c.differentials[i]
+        if dims[i + 1, d] * dims[i, d] < MODULAR_MIN_ENTRIES:
+            ranks[i, d] = chains.matrix_rank_in_degree(m, d)
+        else:
+            rows, ncols = m.degree_rows(d)
+            ranks[i, d] = chains.modular_rank(rows, ncols)
+            modular.append((i, d, rows))
+    for i, d, rows in modular:
+        r = ranks[i, d]
+        if (r != dims[i, d] - ranks.get((i - 1, d), 0)
+                and r != dims[i + 1, d] - ranks.get((i + 1, d), 0)):
+            ranks[i, d] = chains.rational_rank(rows)
+    return ranks
+
+
+def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
+    """Exact homology dimensions for all internal degrees <= cutoff.
+
+    Raises WorkLimitError, before any matrix is assembled, when the table
+    needs more than MAX_RANK_CELLS rank cells or MAX_TABLE_CELLS table
+    cells, or its largest rank cell has more than MAX_CELL_ENTRIES entries
+    (`_assemble`).
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    if not c.support:
+        return HilbertTable(cutoff, {})
+    return _assemble(c.terms, sorted(c.differentials), cutoff, None, lambda: c)
 
 
 def koszul_table(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
@@ -259,6 +312,22 @@ def is_regular_up_to(p: ZeroLocusPresentation, cutoff: int) -> RegularityVerdict
     return RegularityVerdict(True, cutoff, None)
 
 
-__getattr__, __dir__ = forward_to_chains(globals(), (
-    "MODULAR_MIN_ENTRIES", "_ranks", "homology_dimensions",
-    "same_homology_dims", "euler_characteristics_match"))
+def same_homology_dims(a: Complex, b: Complex, cutoff: int) -> DimComparison:
+    """PASS when the homology tables agree everywhere up to the cutoff."""
+    if a.ring != b.ring:
+        raise RingMismatch("comparing complexes over different rings")
+    table_a = homology_dimensions(a, cutoff)
+    table_b = homology_dimensions(b, cutoff)
+    witness = compare_tables(table_a, table_b)
+    return DimComparison(witness is None, witness, table_a, table_b)
+
+
+def euler_characteristics_match(c: Complex, cutoff: int) -> bool:
+    """Degreewise Euler characteristic of homology equals that of the terms."""
+    table = homology_dimensions(c, cutoff)
+    for d in _degree_window(c.terms, cutoff):
+        chi_terms = sum((-1) ** (i % 2) * c.term(i).graded_dim(d) for i in c.support)
+        chi_homology = sum((-1) ** (i % 2) * table.dim(i, d) for i in table.cohomological_degrees())
+        if chi_terms != chi_homology:
+            return False
+    return True

@@ -12,8 +12,8 @@ only for a parenthesised factor; the result's coefficients become Fractions
 and no other check runs on it.  Twisted free modules count their graded
 pieces without enumerating them (`graded_piece_dim`).
 Homogeneous matrices, their degree pieces and the rank kernels live in the
-chain-level layer, `chains`, which loads on first use; this module forwards
-their names there (`forward_to_chains`).
+chain-level layer, `chains`, which loads on first use; the names of this
+module's `__all__` it does not define resolve there (`forward_to_chains`).
 """
 
 from __future__ import annotations
@@ -591,10 +591,11 @@ class GradedFreeModule(Record):
 # ---------------------------------------------------------------------------
 
 
-def forward_to_chains(namespace: dict, names) -> tuple:
-    """A module's __getattr__ and __dir__ (PEP 562) that resolve names, moved to
-    `chains`, to the objects there; so `chains` is imported on first use only."""
-    moved = frozenset(names)
+def forward_to_chains(namespace: dict) -> tuple:
+    """A module's __getattr__ and __dir__ (PEP 562), made after its last
+    definition, resolving each name of its __all__ it does not define in
+    `chains`, which is imported on first use only."""
+    moved = frozenset(namespace["__all__"]).difference(namespace)
 
     def __getattr__(name):
         if name in moved:
@@ -608,6 +609,4 @@ def forward_to_chains(namespace: dict, names) -> tuple:
     return __getattr__, __dir__
 
 
-__getattr__, __dir__ = forward_to_chains(globals(), (
-    "PolyMatrix", "graded_piece_basis", "_basis_position", "rational_rank", "modular_rank",
-    "matrix_rank_in_degree", "MODULUS"))
+__getattr__, __dir__ = forward_to_chains(globals())

@@ -9,7 +9,7 @@ Koszul complex computes the derived quotient; its terms are
 subcomplex of it when deliberately shortened, marked by an explicit
 truncation flag rather than an error), the Jacobian and the cotangent
 complex are built in the chain-level layer, `chains`, which loads on first
-use; this module forwards their names there.
+use; the names of this module's `__all__` it does not define resolve there.
 """
 
 from __future__ import annotations
@@ -128,6 +128,4 @@ def critical_locus(w: Polynomial) -> ZeroLocusPresentation:
     return ZeroLocusPresentation(ring, (), section)
 
 
-__getattr__, __dir__ = forward_to_chains(globals(), (
-    "JacobianData", "SymInvariantsResult", "_koszul_layout", "koszul_complex",
-    "sym_cofib_invariants", "jacobian_data", "cotangent_complex", "restrict"))
+__getattr__, __dir__ = forward_to_chains(globals())

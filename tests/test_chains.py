@@ -1,7 +1,8 @@
 """The chain-level layer loads on first use, and the names that moved there resolve.
 
 `zeroloci.chains` holds the code that builds explicit differentials and takes
-ranks.  The package and the layer modules forward its names (PEP 562), so
+ranks.  A name in the `__all__` of the package or of a layer module that the
+module does not define resolves there (PEP 562), so
 `from zeroloci.polyalg import PolyMatrix` and the like keep working and give
 the very objects defined in `chains`.
 """
@@ -34,18 +35,11 @@ PACKAGE_EXPORTS = (
     "verify_strong_factorization",
 )
 
-# the names each layer module lost to `chains`
-FORWARDED = {
-    polyalg: ("PolyMatrix", "graded_piece_basis", "_basis_position", "rational_rank",
-              "modular_rank", "matrix_rank_in_degree", "MODULUS"),
-    complexes: ("ChainMap", "zero_complex", "module_complex", "unit_complex",
-                "identity_chain_map", "module_map_chain", "twist_complex", "shift", "cone",
-                "direct_sum", "tensor", "dual", "contraction_complex", "sym_two_term"),
-    zerolocus: ("JacobianData", "SymInvariantsResult", "_koszul_layout", "koszul_complex",
-                "sym_cofib_invariants", "jacobian_data", "cotangent_complex", "restrict"),
-    homology: ("MODULAR_MIN_ENTRIES", "_ranks", "homology_dimensions",
-               "same_homology_dims", "euler_characteristics_match"),
-}
+# the modules whose `__all__` may name objects defined in `chains`, and those
+# names: each one a module lists but does not define
+FORWARDING = (zeroloci, polyalg, complexes, zerolocus, homology)
+FORWARDED = [(module, name) for module in FORWARDING for name in module.__all__
+             if name not in vars(module)]
 
 RING_XY = GradedRing(("x", "y"), (1, 1))
 ENV = {**os.environ, "PYTHONPATH": str(Path(zeroloci.__file__).parents[1])}
@@ -61,12 +55,26 @@ def test_package_exports_resolve_and_are_listed():
     assert set(PACKAGE_EXPORTS) <= set(namespace)
 
 
-@pytest.mark.parametrize("module, name", [(module, name) for module, names in FORWARDED.items()
-                                          for name in names])
+@pytest.mark.parametrize("module", FORWARDING)
+def test_every_listed_name_resolves_and_is_in_dir(module):
+    listed = dir(module)
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
+        assert name in listed, name
+
+
+@pytest.mark.parametrize("module, name", FORWARDED)
 def test_forwarded_name_is_the_chain_object(module, name):
-    assert name not in vars(module)   # no copy that a patch of chains would miss
+    # not in vars(module) by the choice of FORWARDED: no copy that a patch of chains would miss
     assert getattr(module, name) is getattr(chains, name)
     assert name in dir(module)
+
+
+def test_homology_and_chains_share_no_object():
+    # homology defines every name it lists, and chains holds nothing homology defines
+    assert {module for module, _ in FORWARDED} == set(FORWARDING) - {homology}
+    assert [name for name, value in vars(chains).items()
+            if getattr(value, "__module__", None) == "zeroloci.homology"] == []
 
 
 def test_unknown_names_still_raise_attribute_error():
@@ -90,7 +98,7 @@ def test_matrix_and_complex_with_differentials_survive_pickle():
         back = pickle.loads(pickle.dumps(obj))
         assert type(back) is type(obj) and back == obj
     back = pickle.loads(pickle.dumps(kos))
-    assert chains.homology_dimensions(back, 5) == chains.homology_dimensions(kos, 5)
+    assert homology.homology_dimensions(back, 5) == homology.homology_dimensions(kos, 5)
 
 
 def test_cli_import_loads_no_typing_hashlib_or_chain_layer():
@@ -104,3 +112,22 @@ def test_cli_import_loads_no_typing_hashlib_or_chain_layer():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_table_of_a_complex_without_differentials_loads_no_chain_code():
+    script = ("import sys\n"
+              "from zeroloci.complexes import exterior_algebra\n"
+              "from zeroloci.gtheory import kclass_via_homology\n"
+              "from zeroloci.homology import homology_dimensions\n"
+              "from zeroloci.polyalg import GradedFreeModule, GradedRing\n"
+              "ring = GradedRing(('x', 'y'), (1, 1))\n"
+              "c = exterior_algebra(GradedFreeModule(ring, (1, 2)), 2)\n"
+              "assert not c.differentials\n"
+              "kclass_via_homology(c)\n"
+              "print(homology_dimensions(c, 4).rows(), 'zeroloci.chains' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows, loaded = done.stdout.splitlines()[-1].rsplit(" ", 1)
+    assert loaded == "False"
+    assert rows.startswith("[(") and "(-2, 3, 1)" in rows

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import zeroloci
-from zeroloci import chains, cli, groebner, gtheory
+from zeroloci import cli, groebner, gtheory
 from zeroloci.cli import ProblemFileError, main, parse_problem_file, run
 from zeroloci.complexes import MAX_GENERATORS, ComplexInvariantError
 from zeroloci.gtheory import CrossCheckError, KClass, excess_certificate
@@ -543,10 +543,10 @@ def test_main_excess_certificate_fault_exit_three(tmp_path, capsys, monkeypatch)
 
 def test_main_excess_six_entries_exit_two_before_any_table(tmp_path, capsys, monkeypatch):
     tables = []
-    koszul_table, homology_dimensions = gtheory.koszul_table, chains.homology_dimensions
+    koszul_table, homology_dimensions = gtheory.koszul_table, gtheory.homology_dimensions
     monkeypatch.setattr(gtheory, "koszul_table",
                         lambda p, cutoff: tables.append(1) or koszul_table(p, cutoff))
-    monkeypatch.setattr(chains, "homology_dimensions",
+    monkeypatch.setattr(gtheory, "homology_dimensions",
                         lambda c, cutoff: tables.append(1) or homology_dimensions(c, cutoff))
     # the patches see the one table of a one-entry check
     assert main([write(tmp_path, DIVISOR)]) == 0

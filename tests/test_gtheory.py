@@ -420,11 +420,12 @@ def _count_koszul_builds_and_tables(monkeypatch) -> dict[str, int]:
             return original(*args)
         return wrapper
 
-    # each name where the code looks it up: the Koszul table and gtheory import the
-    # chain-level layer where they need it
+    # each name where the code looks it up: the Koszul table imports the
+    # chain-level layer where it needs it, gtheory reads homology_dimensions
+    # from its own namespace
     monkeypatch.setattr(chains, "koszul_complex", counted("koszul", chains.koszul_complex))
-    monkeypatch.setattr(chains, "homology_dimensions",
-                        counted("table", chains.homology_dimensions))
+    monkeypatch.setattr(gtheory, "homology_dimensions",
+                        counted("table", gtheory.homology_dimensions))
     monkeypatch.setattr(gtheory, "koszul_table", counted("table", gtheory.koszul_table))
     return calls
 

@@ -201,7 +201,7 @@ CERTIFICATE_CUTOFF = 4
 
 
 def _certificate_tables(monkeypatch, min_entries):
-    monkeypatch.setattr(chains, "MODULAR_MIN_ENTRIES", min_entries)
+    monkeypatch.setattr(homology, "MODULAR_MIN_ENTRIES", min_entries)
     return [homology_dimensions(koszul_complex(p), CERTIFICATE_CUTOFF)
             for p in build_corpus() + [PRIME_TRAP]]
 
@@ -223,7 +223,7 @@ def test_modular_route_matches_exact_route(monkeypatch):
 
 
 def test_prime_trap_falls_back_to_exact_ranks(monkeypatch):
-    monkeypatch.setattr(chains, "MODULAR_MIN_ENTRIES", 0)
+    monkeypatch.setattr(homology, "MODULAR_MIN_ENTRIES", 0)
     exact_cells, assembled = [], []
     monkeypatch.setattr(chains, "rational_rank",
                         lambda rows: exact_cells.append(rows) or rational_rank(rows))
@@ -322,10 +322,10 @@ def test_low_grade_table_takes_known_ranks_into_the_rank_route(monkeypatch):
     cutoff = 7
     expected = _oracle(p, cutoff)
     calls = []
-    ranks = chains._ranks
-    monkeypatch.setattr(chains, "_ranks",
-                        lambda c, degrees, known=None: calls.append(dict(known)) or
-                        ranks(c, degrees, known))
+    ranks = homology._ranks
+    monkeypatch.setattr(homology, "_ranks",
+                        lambda c, cells, dims, known: calls.append(dict(known)) or
+                        ranks(c, cells, dims, known))
     table = koszul_table(p, cutoff)
     [known] = calls
     assert {i for i, _ in known} == {-1, -2, -3}
@@ -334,7 +334,7 @@ def test_low_grade_table_takes_known_ranks_into_the_rank_route(monkeypatch):
     assert table == expected
     assert {i for i, _ in table.entries} == {-2, -1, 0}
     # the modular route certifies with the known ranks as neighbours
-    monkeypatch.setattr(chains, "MODULAR_MIN_ENTRIES", 0)
+    monkeypatch.setattr(homology, "MODULAR_MIN_ENTRIES", 0)
     modular = _count_modular_ranks(monkeypatch)
     assert koszul_table(p, cutoff) == table
     assert modular
@@ -427,10 +427,10 @@ def test_groebner_work_limit_falls_back_to_the_rank_route(monkeypatch, limit):
     with pytest.raises(groebner.GroebnerWorkLimit):
         groebner_basis([f for f, _ in p.section], 8)
     calls = []
-    ranks = chains._ranks
-    monkeypatch.setattr(chains, "_ranks",
-                        lambda c, degrees, known=None: calls.append(dict(known)) or
-                        ranks(c, degrees, known))
+    ranks = homology._ranks
+    monkeypatch.setattr(homology, "_ranks",
+                        lambda c, cells, dims, known: calls.append(dict(known)) or
+                        ranks(c, cells, dims, known))
     assert koszul_table(p, 8) == expected
     # no rank is known but those of the cells with an empty side
     [known] = calls
@@ -480,6 +480,26 @@ def test_hilbert_numerator_of_monomial_ideals():
     assert hilbert_numerator(RING_XYZ, [(1, 0, 0), (0, 2, 0)]) == {0: 1, 1: -1, 2: -1, 3: 1}
     assert hilbert_numerator(RING_XYZ, [(0, 0, 0)]) == {}
     assert hilbert_numerator(RING_XYZ, []) == {0: 1}
+
+
+def test_unit_ideal_is_refused_without_hanging():
+    # a generator 1 has empty support, which no set of variables meets; run in a
+    # child process so that a search for its height that never ends fails here
+    script = ("from zeroloci import groebner\n"
+              "from zeroloci.polyalg import GradedRing\n"
+              "ring = GradedRing(('x', 'y', 'z'), (1, 1, 1))\n"
+              "for call in (lambda: groebner.hilbert_and_grade(ring, [ring.one()], 5),\n"
+              "             lambda: groebner.monomial_height([(1, 0, 0), (0, 0, 0)])):\n"
+              "    try:\n"
+              "        call()\n"
+              "    except ValueError as exc:\n"
+              "        print(exc)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(zeroloci.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2 and all("unit ideal" in line for line in lines)
 
 
 def test_regular_table_leaves_numpy_unloaded(tmp_path):
