@@ -23,13 +23,14 @@ twice) to kos(f, 0) (the entries, then as many zeros), both Koszul
 complexes, makes the two Hilbert tables one, read off the Koszul table.
 The isomorphism and both differentials are integer combinations of
 constant maps on exterior words, so it is checked exactly once per number
-of entries on those maps, with the contraction rule the Koszul complex is
-built with, and no polynomial complex or matrix.
+of entries on those maps, and no polynomial complex or matrix.  A word is
+a bit set of the exterior generators, and its contractions come from a
+table read once per number of entries from `koszul_contractions`, the
+rule the Koszul complex is built with.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from collections.abc import Mapping, Sequence
 
@@ -276,89 +277,93 @@ def verify_quantum_lefschetz(p: ZeroLocusPresentation, m: Complex) -> KVerdict:
     return KVerdict(lhs == rhs, lhs, rhs)
 
 
-def _wedge_sign(s: tuple[int, ...], t: tuple[int, ...], u: tuple[int, ...]) -> int:
+def _wedge_sign(s: int, t: int, u: int) -> int:
     """Sign sorting the word (e_S, then e_t for t in U and e'_t otherwise, t in T)
-    into all e ascending, then all e' ascending."""
-    word = [(0, k) for k in s] + [(0 if k in u else 1, k) for k in t]
-    inversions = sum(1 for a, b in itertools.combinations(word, 2) if a > b)
-    return -1 if inversions % 2 else 1
+    into all e ascending, then all e' ascending, for bit sets S, T and U in T - S.
+
+    Each e_t, t in U, passes the e_k, k in S, above it and the e'_k, k in T - U,
+    below it.
+    """
+    inversions = 0
+    for k in range(u.bit_length()):
+        if u >> k & 1:
+            inversions += (s >> k).bit_count() + ((t ^ u) % 2 ** k).bit_count()
+    return (-1) ** inversions
 
 
-# an integer combination of words, and a map sending each word to one
-_Combination = dict[tuple[int, ...], int]
-_WordMap = dict[tuple[int, ...], _Combination]
+# a map of words as a list, indexed by word, of integer combinations of words
+_WordMap = list[dict[int, int]]
 
 
 def _lambda_psi(r: int, c: int) -> _WordMap:
     """Lambda(psi), psi(e_k) = e_k and psi(e'_k) = c e_k + e'_k, on the words of
     Lambda(E (+) E) for r entries.
 
-    A word is an ascending subset of range(2r), r + k standing for e'_k, so
-    the word S u (r + T) is e_S ^ e'_T, the Koszul layout of 2r entries.
-    Lambda(psi) sends it to the sum over U in T, disjoint from S, of
-    c^|U| times `_wedge_sign` times the word S u U u (r + (T - U)).
+    A word is a bit set of range(2r), bit r + k standing for e'_k, so the word
+    S | T << r is e_S ^ e'_T, the Koszul layout of 2r entries.  Lambda(psi)
+    sends it to the sum over U in T - S of c^|U| times `_wedge_sign` times the
+    word S | U | (T - U) << r.
     """
-    out = {}
-    for w in itertools.chain.from_iterable(
-            itertools.combinations(range(2 * r), n) for n in range(2 * r + 1)):
-        s = tuple(k for k in w if k < r)
-        t = tuple(k - r for k in w if k >= r)
-        free = [k for k in t if k not in s]
-        out[w] = {tuple(sorted(s + u)) + tuple(r + k for k in t if k not in u):
-                  _wedge_sign(s, t, u) * c ** size
-                  for size in range(len(free) + 1)
-                  for u in itertools.combinations(free, size)}
-    return out
+    return [{s | u | (t ^ u) << r: _wedge_sign(s, t, u) * c ** u.bit_count()
+             for u in range(t + 1) if u & t & ~s == u}
+            for t in range(2 ** r) for s in range(2 ** r)]
 
 
-def _contract(ks: tuple[int, ...], combination: _Combination) -> _Combination:
-    """The sum of the contractions by e_k, k in ks, of a combination of words."""
-    out: _Combination = {}
-    for w, a in combination.items():
-        for k, rest, sign in koszul_contractions(w):
-            if k in ks:
-                out[rest] = out.get(rest, 0) + sign * a
-    return {w: a for w, a in out.items() if a}
-
-
-def _apply(f: _WordMap, combination: _Combination) -> _Combination:
-    """f applied to a combination of words."""
-    out: _Combination = {}
-    for w, a in combination.items():
-        for v, b in f[w].items():
-            out[v] = out.get(v, 0) + a * b
-    return {v: a for v, a in out.items() if a}
+def _contractions(r: int) -> list[list[tuple[int, int, int]]]:
+    """The contractions of each word of 2r letters, on bit sets: for the word w,
+    one (j, w without j, sign) per letter j of w, from `koszul_contractions`,
+    the rule the Koszul complex is built with."""
+    words = [()]
+    for j in range(2 * r):
+        words += [word + (j,) for word in words]
+    index = {word: w for w, word in enumerate(words)}
+    return [[(j, index[rest], sign) for j, rest, sign in koszul_contractions(word)]
+            for word in words]
 
 
 @lru_cache(maxsize=None)
 def excess_certificate(r: int) -> tuple[_WordMap, _WordMap]:
     """The chain isomorphism Lambda(psi): kos(s, s) -> kos(s, 0) for r entries,
-    and its inverse, as maps from words to integer combinations of words
-    (see `_lambda_psi`).
+    and its inverse, on words stored as bit sets (see `_lambda_psi`).
 
     kos(s, s) has the entries s_k twice over, kos(s, 0) the s_k and then r
     zeros, so on words their differentials are sum_k s_k (D_k + D_(r+k))
-    and sum_k s_k D_k, D_j the contraction by e_j (`koszul_contractions`).
-    The maps are constant, so Lambda(psi) commutes with the differentials
-    exactly when D_k Lambda(psi) = Lambda(psi) (D_k + D_(r+k)) for every
-    k < r, the coefficients of s_k.  That is checked on every word, and so
-    is Lambda(psi)^-1 Lambda(psi) = 1; each degree has as many words on
-    both sides, so the left inverse is two-sided and commutes too.  Checked
-    on the universal section, the identities specialise to every section of
-    r entries under s_k -> f_k, twists included (e_k and e'_k carry the
-    same twist).  Raises ComplexInvariantError if a check fails, and
-    WorkLimitError when kos(s, s), of 4^r generators, is over
-    MAX_GENERATORS (from r = 6 on).
+    and sum_k s_k D_k, D_j the contraction by e_j.  The contractions of
+    every word are read once from `koszul_contractions`, the rule the
+    Koszul complex is built with.  The maps are constant, so Lambda(psi)
+    commutes with the differentials exactly when D_k Lambda(psi) =
+    Lambda(psi) (D_k + D_(r+k)) for every k < r, the coefficients of s_k.
+    That is checked on every word, and so is Lambda(psi)^-1 Lambda(psi) = 1;
+    each degree has as many words on both sides, so the left inverse is
+    two-sided and commutes too.  Checked on the universal section, the
+    identities specialise to every section of r entries under s_k -> f_k,
+    twists included (e_k and e'_k carry the same twist).  Raises
+    ComplexInvariantError if a check fails, and WorkLimitError when
+    kos(s, s), of 4^r generators, is over MAX_GENERATORS (from r = 6 on).
     """
     check_generators(4 ** r)
     forward, inverse = _lambda_psi(r, 1), _lambda_psi(r, -1)
-    for w, image in forward.items():
-        for k in range(r):
-            if _contract((k,), image) != _apply(forward, _contract((k, r + k), {w: 1})):
+    contractions = _contractions(r)
+    for w, image in enumerate(forward):
+        # D_k Lambda(psi) w - Lambda(psi) (D_k + D_(r+k)) w for each k < r, then
+        # Lambda(psi)^-1 Lambda(psi) w - w
+        diff = [{} for _ in range(r)] + [{w: -1}]
+        for v, a in image.items():
+            for j, rest, sign in contractions[v]:
+                if j < r:
+                    diff[j][rest] = diff[j].get(rest, 0) + sign * a
+            for x, b in inverse[v].items():
+                diff[r][x] = diff[r].get(x, 0) + a * b
+        for j, rest, sign in contractions[w]:
+            for v, a in forward[rest].items():
+                diff[j % r][v] = diff[j % r].get(v, 0) - sign * a
+        for k, d in enumerate(diff):
+            if any(d.values()):
+                # the letters of w, ascending, are the letters its contractions remove
+                word = tuple(j for j, _, _ in contractions[w])
                 raise ComplexInvariantError(
-                    f"chain map fails to commute on the word {w} at s{k + 1}")
-        if _apply(inverse, image) != {w: 1}:
-            raise ComplexInvariantError(f"Lambda(psi) does not invert on the word {w}")
+                    f"chain map fails to commute on the word {word} at s{k + 1}" if k < r
+                    else f"Lambda(psi) does not invert on the word {word}")
     return forward, inverse
 
 

@@ -45,7 +45,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 # each level of parentheses costs the recursive-descent parser three stack
 # frames; this bound keeps any input well clear of the interpreter's limit
 _MAX_NESTING = 100
-# powers are repeated products, one per unit of the exponent
+# a power of a number or a group is repeated products, one per unit of the
+# exponent; a variable's power is its exponent, no product
 _MAX_EXPONENT = 1000
 # but a product costs one step per pair of terms, so one parse may form at
 # most this many pairs, powers included (an a-term times a b-term polynomial
@@ -175,8 +176,10 @@ class GradedRing(Record):
         return f"GradedRing({vs})"
 
 
-# one count table per ring: counts[k] = graded_piece_dim(ring, k) for k < len(counts)
-_PIECE_COUNTS: dict[GradedRing, list[int]] = {}
+# one count table per tuple of variable degrees, the only part of a ring the counts
+# read; a tuple key compares in C, where a ring key would call Record.__eq__:
+# counts[k] = graded_piece_dim(ring, k) for k < len(counts)
+_PIECE_COUNTS: dict[tuple[int, ...], list[int]] = {}
 
 
 def graded_piece_dim(ring: GradedRing, d: int) -> int:
@@ -184,19 +187,20 @@ def graded_piece_dim(ring: GradedRing, d: int) -> int:
 
     Built variable by variable: counts[k] is the number of monomials of
     weighted degree k in the variables seen so far, and each variable of
-    weight w adds counts[k - w].  The ring's table is rebuilt at twice its
-    length when d runs past its end, so a window of W degrees costs O(W).
+    weight w adds counts[k - w].  The table of the ring's degrees is rebuilt
+    at twice its length when d runs past its end, so a window of W degrees
+    costs O(W).
     """
     if d < 0:
         return 0
-    counts = _PIECE_COUNTS.get(ring, ())
+    counts = _PIECE_COUNTS.get(ring.degrees, ())
     if d >= len(counts):
         size = max(d + 1, 2 * len(counts))
         counts = [1] + [0] * (size - 1)
         for w in ring.degrees:
             for k in range(w, size):
                 counts[k] += counts[k - w]
-        _PIECE_COUNTS[ring] = counts
+        _PIECE_COUNTS[ring.degrees] = counts
     return counts[d]
 
 
@@ -394,7 +398,8 @@ class _Parser:
     a/b brings in a Fraction, and an exponent list.  A parenthesised factor
     is a term dict {exponent tuple: coefficient} with no zero value, and
     from the first one on so is the term's product.  Each product is
-    counted as the product of the two factors' term dicts would be.
+    counted as the product of the two factors' term dicts would be; a
+    variable's power is one monomial and counts none.
     """
 
     def __init__(self, text: str, ring: GradedRing):
@@ -519,6 +524,8 @@ class _Parser:
         if tokens[self.i] != "^":
             return c, var, 1
         k, caret = self.exponent()
+        if var is not None:
+            return 1, var, k  # a variable's power is its exponent: no product
         out = 1  # c^k in k counted products, as by term dicts
         for _ in range(k):
             self.count(1 if out and c else 0, _bits(out) + _bits(c), caret)

@@ -3,7 +3,8 @@
 Every factor, a number and a variable included, is its own term dict
 {exponent tuple: int or Fraction} with no zero value, and every `*` and
 every step of a `^k` is a dict product counted against the limits of
-`zeroloci.polyalg`.  The package's reader folds atomic factors into one
+`zeroloci.polyalg`, except the power of a bare variable: one monomial, read
+without a product.  The package's reader folds atomic factors into one
 monomial instead; `test_polyalg` requires both to give the same terms, the
 same coefficient types and the same `ParseError` message and position.
 """
@@ -110,6 +111,7 @@ class _Parser:
         return acc
 
     def parse_factor(self) -> dict:
+        variable = self.tokens[self.i][0] == "ident"
         base = self.parse_base()
         if not self.at("^"):
             return base
@@ -121,6 +123,9 @@ class _Parser:
         if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
             shown = value if len(value) <= 20 else f"of {len(value)} digits"
             raise ParseError(f"exponent {shown} exceeds {_MAX_EXPONENT}", pos)
+        if variable:  # a variable's power is one monomial: no product
+            (exps,) = base
+            return {tuple(int(digits) * e for e in exps): 1}
         out = {self.constant: 1}
         for _ in range(int(digits)):
             out = self.multiply(out, base, pos)

@@ -528,7 +528,7 @@ def test_main_excess_certificate_fault_exit_three(tmp_path, capsys, monkeypatch)
 
     def flipped(s, t, u):
         sign = original(s, t, u)
-        return -sign if (s, t, u) == ((), (0,), (0,)) else sign
+        return -sign if (s, t, u) == (0, 1, 1) else sign
 
     monkeypatch.setattr(gtheory, "_wedge_sign", flipped)
     excess_certificate.cache_clear()

@@ -15,6 +15,7 @@ from zeroloci.complexes import (
     ComplexInvariantError,
     dual,
     exterior_algebra,
+    koszul_contractions,
     shift,
     tensor,
     unit_complex,
@@ -270,6 +271,16 @@ def _wedge_of_images(r, c, word):
     return {w: a for w, a in out.items() if a}
 
 
+def _letters(w):
+    """The ascending letters of a word stored as a bit set."""
+    return tuple(j for j in range(w.bit_length()) if w >> j & 1)
+
+
+def _on_tuples(f):
+    """A map on bit-set words as a map on ascending tuples of letters."""
+    return {_letters(w): {_letters(v): a for v, a in image.items()} for w, image in enumerate(f)}
+
+
 def _components(f, source, target):
     """A map on words as constant PolyMatrix components between Koszul-layout complexes."""
     ring, width = source.ring, 2 * source.ring.nvars
@@ -287,7 +298,7 @@ def _components(f, source, target):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_excess_certificate_is_an_isomorphism(r):
-    forward, inverse = excess_certificate(r)
+    forward, inverse = map(_on_tuples, excess_certificate(r))
     ring = GradedRing(tuple(f"s{k}" for k in range(1, r + 1)), (1,) * r)
     entries = tuple((ring.variable(v), 1) for v in ring.variables)
     kos = koszul_complex(ZeroLocusPresentation(ring, (), entries))
@@ -313,12 +324,19 @@ def test_excess_certificate_is_an_isomorphism(r):
 
 
 def test_excess_certificate_divisor_by_hand():
-    # words () < (0,) < (1,) < (0, 1): 1, e_1, e'_1, e_1 ^ e'_1; psi(e'_1) = e_1 + e'_1
+    # words 0, 1, 2, 3: 1, e_1, e'_1, e_1 ^ e'_1; psi(e'_1) = e_1 + e'_1
     forward, inverse = excess_certificate(1)
-    assert forward == {(): {(): 1}, (0,): {(0,): 1}, (1,): {(0,): 1, (1,): 1},
-                       (0, 1): {(0, 1): 1}}
-    assert inverse == {(): {(): 1}, (0,): {(0,): 1}, (1,): {(0,): -1, (1,): 1},
-                       (0, 1): {(0, 1): 1}}
+    assert forward == [{0: 1}, {1: 1}, {1: 1, 2: 1}, {3: 1}]
+    assert inverse == [{0: 1}, {1: 1}, {1: -1, 2: 1}, {3: 1}]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_excess_contraction_table_is_the_koszul_rule(r):
+    table = gtheory._contractions(r)
+    assert len(table) == 4 ** r
+    for w, contractions in enumerate(table):
+        assert [(j, _letters(rest), sign) for j, rest, sign in contractions] == \
+            koszul_contractions(_letters(w))
 
 
 def test_excess_certificate_passes_at_five_entries():

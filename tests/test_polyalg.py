@@ -73,9 +73,9 @@ def test_equal_rings_are_one_cache_key():
     assert a != GradedRing(("s", "t"), (3, 1)) and a != GradedRing(("t", "s"), (1, 3))
     assert a != (("s", "t"), (1, 3))
     assert graded_piece_dim(a, 40) == 14
-    tables, table = len(polyalg._PIECE_COUNTS), polyalg._PIECE_COUNTS[a]
+    tables, table = len(polyalg._PIECE_COUNTS), polyalg._PIECE_COUNTS[a.degrees]
     assert graded_piece_dim(b, 40) == 14
-    assert len(polyalg._PIECE_COUNTS) == tables and polyalg._PIECE_COUNTS[b] is table
+    assert len(polyalg._PIECE_COUNTS) == tables and polyalg._PIECE_COUNTS[b.degrees] is table
 
 
 def test_rings_and_modules_are_immutable_values():
@@ -303,10 +303,10 @@ def test_parse_agrees_with_the_oracle_on_expression_trees(tree, data):
 
 
 # the limits met by monomials alone, folded into one coefficient and exponent
-# list without a term dict: each step of x^1000 counts one product, 0 none
+# list without a term dict: x^1000 counts no product, each step of 1^1000 or of
+# the group (x)^1000 one, 0 none
 @pytest.mark.parametrize("text, outcome", [
-    ("x^1000*" * 10 + "x",
-     ("the expression needs at least 10001 term products, more than the limit of 10000", 65)),
+    ("x^1000*" * 10 + "x", [((10001, 0), 1, Fraction)]),
     ("1024^1000", (f"the expression multiplies factors whose largest coefficients have 10004 "
                    f"bits, more than the limit of {_MAX_COEFFICIENT_BITS}", 5)),
     ("1024^999*x*1024^999", (f"the expression multiplies factors whose largest coefficients "
@@ -316,6 +316,10 @@ def test_parse_agrees_with_the_oracle_on_expression_trees(tree, data):
     ("0^1000*x", []),
     ("0*(x + y)^1000",
      ("the expression needs at least 10100 term products, more than the limit of 10000", 10)),
+    ("1^1000*" * 10 + "x",
+     ("the expression needs at least 10001 term products, more than the limit of 10000", 65)),
+    ("(x)^1000*" * 10 + "x",
+     ("the expression needs at least 10001 term products, more than the limit of 10000", 85)),
 ])
 def test_parse_limits_on_monomials_are_pinned(text, outcome):
     if isinstance(outcome, tuple):
