@@ -7,18 +7,20 @@ key, primitive integer polynomial on grevlex keys) pairs.
 `groebner_failure` certifies such a basis exactly up to that degree
 (Buchberger's criterion on every S-pair the product criterion leaves, and
 membership of every input).  Both raise `GroebnerWorkLimit` past named
-work limits.  `hilbert_numerator` and `monomial_height` read the Hilbert
-series and the height of the ideal of the leading monomials without
-enumerating monomials.  `hilbert_and_grade` reads both off a certified
+work limits.  Inside, both work on packed monomials: each exponent vector
+is one int, a field of bits per variable (`_Packing`), so a product of
+monomials is a sum, the leading term is the least int and a division test
+is one subtraction and one mask.  They pack on entry and unpack on return.
+`hilbert_numerator` reads the Hilbert series of the ideal of the leading
+monomials without enumerating monomials, and `numerator_height` its height
+off that numerator.  `hilbert_and_grade` reads both off a certified
 basis: the one call of the Koszul table, which imports this module there,
 so importing the package does not load it.
 """
 
 from __future__ import annotations
 
-import heapq
-from math import gcd
-from operator import add
+from math import comb, gcd
 from collections.abc import Sequence
 
 from .complexes import ComplexInvariantError
@@ -34,20 +36,21 @@ __all__ = [
     "groebner_failure",
     "hilbert_and_grade",
     "hilbert_numerator",
-    "monomial_height",
+    "numerator_height",
 ]
 
 # A basis and its certificate each raise GroebnerWorkLimit past any of these:
 # term updates in its reductions, S-pairs reduced, basis elements, bits of a
 # coefficient of a (primitive, integer) basis element.  A term update takes
-# 2-3 us (Python 3.11, 2 cores): 50,000 of them took 0.10-0.17 s on dense
-# random quadrics in 5-10 variables, so a basis and its certificate stop
-# within about 0.35 s on any input, and the table falls back to the rank
+# about 0.5 us (Python 3.11, 2 cores): 50,000 of them took 0.021-0.041 s on
+# dense random quadrics in 6-10 variables, so a basis and its certificate
+# stop within about 0.1 s on any input, and the table falls back to the rank
 # route.  The other three limits bound the S-pair queue, the Hilbert-series
-# recursion and the cost of one update; 6 dense quadrics in 6 variables stop
-# at 600 bits in 0.10 s.  The most met are a few hundred term updates (285
-# on one run of the hypothesis draws), 13 pairs, 8 elements and 25 bits in
-# the tests, and 1,653 updates, 9, 6 and 11 in the benchmark workloads
+# recursion and the cost of one update; 6 dense quadrics in 6 variables with
+# coefficients in [-100, 100] stop at 600 bits in 0.01 s.  The most met in
+# one call are 28,274 term updates, 41 pairs, 12 elements and 144 bits in
+# the tests (4 dense quadrics in 5 variables), and 599 updates, 9 pairs, 6
+# elements and 11 bits in the benchmark workloads
 MAX_GROEBNER_STEPS = 50000
 MAX_GROEBNER_PAIRS = 500
 MAX_GROEBNER_BASIS = 50
@@ -77,46 +80,98 @@ def _grevlex_key(exps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-e for e in reversed(exps))
 
 
-# Buchberger's algorithm works on polynomials as {grevlex key: int} dicts,
-# so the leading term is the largest key, a product of monomials is the sum
-# of their keys, and m divides n when key(n) <= key(m) in every place.  Each
-# is kept up to a nonzero rational factor, which changes neither its leading
-# monomial nor whether it is 0; integer arithmetic measured 3-5x faster than
-# Fraction arithmetic on the same bases.  A basis element is kept, and
-# returned, with its leading key: a (leading key, polynomial) pair.
+class _Packing:
+    """Monomials of a ring with every exponent at most top, packed as ints.
+
+    Variable i takes bits i W to i W + W - 1 for W = top.bit_length() + 1, so
+    the last variable is the most significant; the top bit of each field is
+    a guard bit, 0 in a monomial, and guard has all of them.  An int compares
+    as the reversed exponent vector does, so within one weighted degree the
+    smaller int is the grevlex-larger monomial.  A product of monomials is
+    the sum of their ints while no exponent passes top, and lead divides m
+    exactly when (m + guard - lead) & guard == guard: field i of
+    m + guard - lead is m_i - lead_i + 2^(W - 1), which keeps its guard bit
+    exactly when m_i >= lead_i and never borrows from the next field.
+    """
+
+    def __init__(self, ring: GradedRing, top: int):
+        self.ring = ring
+        self.width = top.bit_length() + 1
+        self.guard = self.pack((-(1 << top.bit_length()),) * ring.nvars)
+
+    def pack(self, key) -> int:
+        """The monomial of the grevlex key key."""
+        m = 0
+        for e in key:
+            m = (m << self.width) - e
+        return m
+
+    def key(self, m) -> tuple[int, ...]:
+        """The grevlex key of the monomial m."""
+        key = ()
+        for _ in range(self.ring.nvars):
+            m, e = divmod(m, 1 << self.width)
+            key = (-e,) + key
+        return key
+
+    def pair(self, a, b, top):
+        """(degree, lcm) of the S-pair of leading monomials a and b, or None
+        when they are coprime (lcm = a + b) or the degree passes top.  Field
+        by field, lcm = a + (b - a where b_i >= a_i, else 0)."""
+        d = b + self.guard - a
+        g = d & self.guard
+        lcm = a + (d & (g - (g >> (self.width - 1))))
+        degree = self.ring.weighted_degree(_grevlex_key(self.key(lcm)))
+        return (degree, lcm) if lcm != a + b and degree <= top else None
+
+
+# Buchberger's algorithm works on polynomials as {packed monomial: int} dicts
+# (`_Packing`), so the leading term is the least int, a product of monomials
+# is the sum of their ints, and a division test is one mask.  Each is kept up
+# to a nonzero rational factor, which changes neither its leading monomial nor
+# whether it is 0; integer arithmetic measured 3-5x faster than Fraction
+# arithmetic on the same bases.  A basis element is kept with its leading
+# monomial, a (lead, polynomial) pair; the public form has grevlex keys in
+# place of ints.
 _Keyed = tuple[tuple[int, ...], dict]
 
 
-def _keyed(p: Polynomial) -> dict:
-    """p as a primitive integer polynomial on grevlex keys, positive leading coefficient."""
+def _keyed(p: Polynomial, packing: _Packing) -> dict:
+    """p as a primitive integer polynomial on packed monomials, positive leading coefficient."""
     scale = 1
     for c in p.terms.values():
         scale = scale * c.denominator // gcd(scale, c.denominator)
-    return _primitive({_grevlex_key(e): c.numerator * (scale // c.denominator)
+    return _primitive({packing.pack(_grevlex_key(e)): c.numerator * (scale // c.denominator)
                        for e, c in p.terms.items()})
+
+
+def _convert(basis, f):
+    """basis, (lead, polynomial) pairs, with f applied to every monomial."""
+    return [(f(lead), {f(k): v for k, v in terms.items()}) for lead, terms in basis]
 
 
 def _primitive(p: dict) -> dict:
     g = 0
     for v in p.values():
         g = gcd(g, v)
-    if p[max(p)] < 0:
+    if p[min(p)] < 0:
         g = -g
     return p if g == 1 else {k: v // g for k, v in p.items()}
 
 
-def _reduce(p: dict, basis, steps: _Steps, top_only: bool = False) -> dict:
+def _reduce(p: dict, basis, steps: _Steps, guard, top_only: bool = False) -> dict:
     """A multiple of the remainder of p on division by basis, a list of
-    (leading key, polynomial) pairs, each term update spent from steps.
-    With top_only, stops at the first term no leading monomial divides, so
-    the result is empty exactly when p reduces to 0."""
+    (lead, polynomial) pairs on packed monomials with guard bits guard, each
+    term update spent from steps.  With top_only, stops at the first term no
+    leading monomial divides, so the result is empty exactly when p reduces
+    to 0."""
     p = dict(p)
     remainder = {}
     while p:
-        m = max(p)
+        m = min(p)
         c = p.pop(m)
         for lead, g in basis:
-            if all(a <= b for a, b in zip(m, lead)):
+            if (m + guard - lead) & guard == guard:
                 break
         else:
             remainder[m] = c
@@ -133,10 +188,10 @@ def _reduce(p: dict, basis, steps: _Steps, top_only: bool = False) -> dict:
                 p[k] *= a
             for k in remainder:
                 remainder[k] *= a
-        shift = tuple(x - y for x, y in zip(m, lead))
+        shift = m - lead
         for k, v in g.items():
             if k != lead:
-                k = tuple(map(add, k, shift))
+                k += shift
                 w = p.get(k, 0) - c * v
                 if w:
                     p[k] = w
@@ -145,18 +200,18 @@ def _reduce(p: dict, basis, steps: _Steps, top_only: bool = False) -> dict:
     return remainder
 
 
-def _s_polynomial(f, g) -> dict:
-    """A multiple of the S-polynomial of two (leading key, polynomial) pairs:
-    b lcm/lm(f) f - a lcm/lm(g) g for leading coefficients a of f and b of g."""
+def _s_polynomial(f, g, lcm) -> dict:
+    """A multiple of the S-polynomial of two (lead, polynomial) pairs whose
+    leading monomials have lcm lcm: b lcm/lm(f) f - a lcm/lm(g) g for leading
+    coefficients a of f and b of g."""
     (lf, tf), (lg, tg) = f, g
-    lcm = tuple(map(min, lf, lg))
     a, b = tf[lf], tg[lg]
     q = gcd(a, b)
     out: dict = {}
     for lead, terms, factor in ((lf, tf, b // q), (lg, tg, -a // q)):
-        shift = tuple(x - y for x, y in zip(lcm, lead))
+        shift = lcm - lead
         for k, v in terms.items():
-            k = tuple(map(add, k, shift))
+            k += shift
             w = out.get(k, 0) + factor * v
             if w:
                 out[k] = w
@@ -165,66 +220,63 @@ def _s_polynomial(f, g) -> dict:
     return out
 
 
-def _lcm_degree(weights: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Weighted degree of the lcm of two monomials given by grevlex keys;
-    weights are the variable degrees in reverse order, as keys list them."""
-    return -sum(w * e for w, e in zip(weights, map(min, a, b)))
-
-
 def groebner_basis(polys: Sequence[Polynomial], max_degree: int) -> list[_Keyed]:
     """A Groebner basis in weighted grevlex of the ideal of homogeneous polys,
     in degrees up to max_degree; zero polys are skipped.
 
     Homogeneous Buchberger over Q: the inputs and the S-pairs are taken in
     order of weighted degree (normal selection, an S-pair at the degree of
-    its lcm), each is reduced by the basis so far and added when a remainder
-    is left.  Pairs whose leading monomials are coprime are skipped (the
-    product criterion).  So no leading monomial of the result divides
-    another.  Inputs and pairs above max_degree are not taken: the result
-    is a Groebner basis in degrees up to max_degree, whose leading monomials
-    generate in(I) in those degrees and a subideal of it above.  Each
-    element is a (leading key, polynomial) pair, the polynomial primitive and
-    integer on grevlex keys (`_grevlex_key` turns a key back into exponents).
-    Raises GroebnerWorkLimit when the work passes MAX_GROEBNER_STEPS term
-    updates, MAX_GROEBNER_PAIRS reduced S-pairs, MAX_GROEBNER_BASIS elements
-    or MAX_GROEBNER_BITS bits in a coefficient.  The result is not certified
-    here; see `groebner_failure`.
+    its lcm), then of arrival, the inputs first; each is reduced by the
+    basis so far and added when a remainder is left.  Pairs whose leading
+    monomials are coprime are skipped (the product criterion).  So no
+    leading monomial of the result divides another.  Inputs and pairs above
+    max_degree are not taken: the result is a Groebner basis in degrees up
+    to max_degree, whose leading monomials generate in(I) in those degrees
+    and a subideal of it above.  The work is done on monomials packed with
+    top max_degree (`_Packing`): every variable has degree at least 1 and
+    nothing above max_degree is taken, so no exponent passes it.  Each
+    element is returned as a (leading key, polynomial) pair, the polynomial
+    primitive and integer on grevlex keys (`_grevlex_key` turns a key back
+    into exponents).  Raises GroebnerWorkLimit when the work passes
+    MAX_GROEBNER_STEPS term updates, MAX_GROEBNER_PAIRS reduced S-pairs,
+    MAX_GROEBNER_BASIS elements or MAX_GROEBNER_BITS bits in a coefficient.
+    The result is not certified here; see `groebner_failure`.
     """
     if not polys:
         return []
-    weights = polys[0].ring.degrees[::-1]
+    packing = _Packing(polys[0].ring, max_degree)
     steps = _Steps()
-    # (degree, order of arrival, an input polynomial or a pair of basis indices)
-    queue = [(d, k, _keyed(p)) for k, p in enumerate(polys)
+    # (degree, order of arrival, an input polynomial or the S-pair of two
+    # basis elements as _s_polynomial takes it); the least is taken next
+    queue = [(d, k, _keyed(p, packing)) for k, p in enumerate(polys)
              if not p.is_zero() and (d := p.homogeneous_degree()) <= max_degree]
-    heapq.heapify(queue)
-    arrivals = len(queue)
-    basis: list[_Keyed] = []
+    arrivals = len(polys)
+    basis = []
     pairs = 0
     while queue:
-        _, _, item = heapq.heappop(queue)
+        queue.remove(entry := min(queue))
+        item = entry[2]
         if isinstance(item, tuple):
             pairs += 1
             if pairs > MAX_GROEBNER_PAIRS:
                 raise GroebnerWorkLimit(f"more than {MAX_GROEBNER_PAIRS} S-pairs")
-            item = _s_polynomial(basis[item[0]], basis[item[1]])
-        remainder = _reduce(item, basis, steps)
+            item = _s_polynomial(*item)
+        remainder = _reduce(item, basis, steps, packing.guard)
         if not remainder:
             continue
         terms = _primitive(remainder)
-        lead = max(terms)
+        lead = min(terms)
         bits = max(abs(v) for v in terms.values()).bit_length()
         if len(basis) == MAX_GROEBNER_BASIS:
             raise GroebnerWorkLimit(f"more than {MAX_GROEBNER_BASIS} basis elements")
         if bits > MAX_GROEBNER_BITS:
             raise GroebnerWorkLimit(f"a coefficient of more than {MAX_GROEBNER_BITS} bits")
-        for k, (other, _) in enumerate(basis):
-            degree = _lcm_degree(weights, lead, other)
-            if any(a and b for a, b in zip(lead, other)) and degree <= max_degree:
-                heapq.heappush(queue, (degree, arrivals, (k, len(basis))))
+        for other in basis:
+            if pair := packing.pair(other[0], lead, max_degree):
+                queue.append((pair[0], arrivals, (other, (lead, terms), pair[1])))
                 arrivals += 1
         basis.append((lead, terms))
-    return basis
+    return _convert(basis, packing.key)
 
 
 def groebner_failure(basis: Sequence[_Keyed], polys: Sequence[Polynomial],
@@ -243,23 +295,27 @@ def groebner_failure(basis: Sequence[_Keyed], polys: Sequence[Polynomial],
     nonzero input of degree up to max_degree reduces to 0, so the ideal of
     the basis holds those inputs.  A basis from `groebner_basis` lies in
     the ideal of its inputs by construction, so the two ideals are then
-    equal in those degrees.  Raises GroebnerWorkLimit past
+    equal in those degrees.  The basis is packed with top the larger of
+    max_degree and its largest exponent, so a basis built up to another
+    degree is read as it is.  Raises GroebnerWorkLimit past
     MAX_GROEBNER_STEPS term updates, so no answer is given unchecked.
     """
-    weights = polys[0].ring.degrees[::-1] if polys else ()
+    if not polys:
+        return None
+    packing = _Packing(polys[0].ring,
+                       max(max_degree, 0, *(-e for _, terms in basis for k in terms for e in k)))
+    basis = _convert(basis, packing.pack)
     steps = _Steps()
     for j in range(len(basis)):
         for k in range(j):
-            a, b = basis[k][0], basis[j][0]
-            coprime = not any(x and y for x, y in zip(a, b))
-            if coprime or _lcm_degree(weights, a, b) > max_degree:
-                continue
-            if _reduce(_s_polynomial(basis[k], basis[j]), basis, steps, top_only=True):
+            pair = packing.pair(basis[k][0], basis[j][0], max_degree)
+            if pair and _reduce(_s_polynomial(basis[k], basis[j], pair[1]), basis, steps,
+                                packing.guard, top_only=True):
                 return f"the S-pair of elements {k} and {j} does not reduce to 0"
     for k, p in enumerate(polys):
         if p.is_zero() or p.homogeneous_degree() > max_degree:
             continue
-        if _reduce(_keyed(p), basis, steps, top_only=True):
+        if _reduce(_keyed(p, packing), basis, steps, packing.guard, top_only=True):
             return f"input {k} does not reduce to 0"
     return None
 
@@ -272,9 +328,9 @@ def hilbert_and_grade(ring: GradedRing, polys: Sequence[Polynomial],
     sum_d dim (R/J)_d t^d = K(t) / prod (1 - t^deg x_i) is the Hilbert series
     of R/I up to t^max_degree (R/I and R/in(I) have one Hilbert function),
     and g = height J <= height in(I) = grade I, with equality when the basis
-    is complete.  None when the basis or its certificate passes a work
-    limit; raises ComplexInvariantError when the certificate fails, and
-    ValueError for the unit ideal (`monomial_height`).
+    is complete; g is read off K (`numerator_height`).  None when the basis
+    or its certificate passes a work limit; raises ComplexInvariantError
+    when the certificate fails, and ValueError for the unit ideal.
     """
     try:
         basis = groebner_basis(polys, max_degree)
@@ -284,13 +340,13 @@ def hilbert_and_grade(ring: GradedRing, polys: Sequence[Polynomial],
     if failure:
         raise ComplexInvariantError(f"the Groebner basis of the entries is not certified: "
                                     f"{failure}")
-    lead = [_grevlex_key(key) for key, _ in basis]
-    return hilbert_numerator(ring, lead), monomial_height(lead)
+    numerator = hilbert_numerator(ring, [_grevlex_key(key) for key, _ in basis])
+    return numerator, numerator_height(numerator)
 
 
 def _minimal(gens) -> list[tuple[int, ...]]:
     """The minimal generators among exponent vectors: none divides another."""
-    out: list[tuple[int, ...]] = []
+    out = []
     for m in sorted(set(gens), key=sum):
         if not any(all(a >= b for a, b in zip(m, g)) for g in out):
             out.append(m)
@@ -310,15 +366,13 @@ def hilbert_numerator(ring: GradedRing, gens) -> dict[int, int]:
     of R/J is enumerated.
     """
     gens = _minimal(gens)
-    seen: set[int] = set()
-    coprime = True
+    seen = set()
     for g in gens:
         support = {i for i, e in enumerate(g) if e}
         if support & seen:
-            coprime = False
             break
         seen |= support
-    if coprime:
+    else:
         out = {0: 1}
         for g in gens:
             step = ring.weighted_degree(g)
@@ -339,28 +393,22 @@ def hilbert_numerator(ring: GradedRing, gens) -> dict[int, int]:
     return {k: c for k, c in plus.items() if c}
 
 
-def monomial_height(gens) -> int:
-    """Height of the ideal of the monomials gens: the fewest variables that
-    meet the support of every generator (0 for no generator).
+def numerator_height(numerator: dict[int, int]) -> int:
+    """Height of a monomial ideal J off the numerator K of its Hilbert series
+    (`hilbert_numerator`).
 
-    R/J has dimension nvars minus this: the coordinate subspace on a set of
-    variables lies in the zero set of J exactly when no generator is a
-    monomial in those variables alone.  ValueError for the unit ideal (a
-    generator 1, with empty support), which no set of variables meets.
+    R/J has Krull dimension n - height J, the order of the pole of
+    K(t) / prod (1 - t^deg x_i) at t = 1; the denominator vanishes there to
+    order n, so height J is the order of vanishing of K at t = 1: the number
+    of times 1 - t divides K.  When (1 - t)^h divides K = sum_k c_k t^k, the
+    coefficients of K / (1 - t)^h sum to (-1)^h sum_k c_k binom(k, h), the
+    h-th coefficient of K in powers of t - 1; so the height is the least h
+    where that sum is not 0, read off the terms of K without writing out a
+    quotient.  ValueError for K = 0: the unit ideal, whose quotient is 0.
     """
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in _minimal(gens)]
-    if frozenset() in supports:
+    if not numerator:
         raise ValueError("the unit ideal has no height: a generator is the monomial 1")
-
-    def meets(supports, k: int) -> bool:
-        if not supports:
-            return True
-        if k == 0:
-            return False
-        smallest = min(supports, key=len)
-        return any(meets([s for s in supports if v not in s], k - 1) for v in smallest)
-
     height = 0
-    while not meets(supports, height):
+    while not sum(c * comb(k, height) for k, c in numerator.items()):
         height += 1
     return height

@@ -8,6 +8,9 @@ loop that the package's sparse `PolyMatrix.__matmul__` replaced;
 complexes into the one subset layout the package builds directly, and
 `cosection` is the two-term complex whose symmetric powers (`sym_two_term`)
 and tensor powers are the oracles of that layout.
+`monomial_height` is the height of a monomial ideal found by searching for
+the fewest variables that meet every generator, the oracle of the height the
+package reads off the Hilbert-series numerator (`groebner.numerator_height`).
 The corpus covers regular, repeated, non-regular, zero-section and
 derived-ambient presentations.
 """
@@ -49,6 +52,33 @@ def echelon_rank(rows: list[list[Fraction]]) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def monomial_height(gens) -> int:
+    """Height of the ideal of the monomials gens: the fewest variables that
+    meet the support of every generator (0 for no generator).
+
+    R/J has dimension nvars minus this: the coordinate subspace on a set of
+    variables lies in the zero set of J exactly when no generator is a
+    monomial in those variables alone.  ValueError for the unit ideal (a
+    generator 1, with empty support), which no set of variables meets.
+    """
+    supports = {frozenset(i for i, e in enumerate(g) if e) for g in gens}
+    if frozenset() in supports:
+        raise ValueError("the unit ideal has no height: a generator is the monomial 1")
+
+    def meets(supports, k: int) -> bool:
+        if not supports:
+            return True
+        if k == 0:
+            return False
+        smallest = min(supports, key=len)
+        return any(meets([s for s in supports if v not in s], k - 1) for v in smallest)
+
+    height = 0
+    while not meets(supports, height):
+        height += 1
+    return height
 
 
 def dense_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -26,7 +26,8 @@ from zeroloci.homology import (
     koszul_table,
     same_homology_dims,
 )
-from zeroloci.groebner import groebner_basis, hilbert_numerator
+from zeroloci.groebner import (
+    _grevlex_key, groebner_basis, groebner_failure, hilbert_numerator, numerator_height)
 from zeroloci.polyalg import (
     GradedFreeModule, GradedRing, Polynomial, PolyMatrix, graded_piece_basis, parse_poly,
     rational_rank)
@@ -42,6 +43,7 @@ from conftest import (
     derived_ambient_corpus,
     drawn_entries,
     echelon_rank,
+    monomial_height,
 )
 from test_zerolocus import pres
 
@@ -367,8 +369,8 @@ def test_rank_cells_load_the_chain_layer_only_when_met():
     ([("x", 1), ("x", 1), ("x", 1)], "in degree 2 comes out as -1"),
 ])
 def test_overstated_grade_is_an_engine_fault(monkeypatch, section, message):
-    height = groebner.monomial_height
-    monkeypatch.setattr(groebner, "monomial_height", lambda gens: height(gens) + 1)
+    height = groebner.numerator_height
+    monkeypatch.setattr(groebner, "numerator_height", lambda numerator: height(numerator) + 1)
     with pytest.raises(ComplexInvariantError, match=message):
         koszul_table(pres(RING_X, section), 6)
 
@@ -444,6 +446,88 @@ def test_groebner_basis_skips_zero_inputs():
     assert groebner_basis([RING_XY.zero(), x], 5) == groebner_basis([x], 5)
 
 
+def test_s_pairs_arrive_after_every_input_past_a_skipped_one():
+    # x^10 is above the cutoff and skipped; the S-pair of the quadrics comes in
+    # degree 3 with the cubic, and takes its turn after it, as without x^10
+    # (it once tied with the cubic's place in the list and failed to compare)
+    texts = ("x^10", "x^2 - y*z", "x*y - z^2", "y^3 + z^3")
+    entries = [parse_poly(t, RING_XYZ) for t in texts]
+    basis = groebner_basis(entries, 5)
+    assert basis == groebner_basis(entries[1:], 5)
+    assert [-sum(lead) for lead, _ in basis] == [2, 2, 3, 3, 4, 4]
+    p = pres(RING_XYZ, [(t, d) for t, d in zip(texts, (10, 2, 2, 3))])
+    assert koszul_table(p, 5) == _oracle(p, 5)
+
+
+def test_certificate_reads_a_basis_built_at_a_higher_cutoff():
+    # up to degree 10 the basis holds y^8, whose exponent 8 fills more than the
+    # 3-bit fields that cutoff 3 alone gives (read in them, it is z); without
+    # the cubic, the certificate at 3 still finds the S-pair it came from
+    entries = [parse_poly(t, RING_XYZ) for t in ("x^2 - y*z", "x*y - z^2", "y^8")]
+    basis = groebner_basis(entries, 10)
+    assert [-sum(lead) for lead, _ in basis] == [2, 2, 3, 8, 9, 9, 10]
+    assert basis[3] == ((0, -8, 0), {(0, -8, 0): 1})
+    assert groebner_failure(basis, entries, 3) is None
+    assert (groebner_failure(basis[:2] + basis[3:], entries, 3)
+            == "the S-pair of elements 0 and 1 does not reduce to 0")
+
+
+def _monomial(pieces, data, degrees) -> tuple[int, ...]:
+    """A drawn monomial in one of degrees, from pieces {degree: its monomials}."""
+    d = data.draw(st.sampled_from([d for d in degrees if pieces[d]]))
+    return data.draw(st.sampled_from(pieces[d]))
+
+
+# the field width grows at top = 2, 4, 8 and 16: these tops sit on both sides
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16]), st.data())
+def test_packed_monomials_follow_the_exponent_rules(weights, top, data):
+    ring = GradedRing(tuple(f"x{i}" for i in range(len(weights))), weights)
+    packing = groebner._Packing(ring, top)
+    pack = lambda exps: packing.pack(_grevlex_key(exps))
+    pieces = {d: graded_piece_basis(ring, d) for d in range(top + 1)}
+    a = _monomial(pieces, data, range(top + 1))
+    d = ring.weighted_degree(a)
+    same = _monomial(pieces, data, [d])
+    b = _monomial(pieces, data, range(top - d + 1))
+    lead = _monomial(pieces, data, range(top + 1))
+    # unpack o pack = id, and the order of one degree is grevlex, reversed
+    assert packing.key(pack(a)) == _grevlex_key(a)
+    assert (pack(a) < pack(same)) == (_grevlex_key(a) > _grevlex_key(same))
+    # a product is a sum, with every exponent up to top
+    product = tuple(x + y for x, y in zip(a, b))
+    assert pack(a) + pack(b) == pack(product)
+    # the division test of the reduction is the fieldwise <=
+    for divisor, m in ((lead, a), (lead, same), (a, same), (b, product), (a, product)):
+        reduced = groebner._reduce({pack(m): 1}, [(pack(divisor), {pack(divisor): 1})],
+                                   groebner._Steps(), packing.guard, top_only=True)
+        assert (not reduced) == all(x <= y for x, y in zip(divisor, m)), (divisor, m)
+    # the pair test: None for coprime monomials, else the degree and the lcm
+    lcm = tuple(map(max, lead, a))
+    pair = packing.pair(pack(lead), pack(a), top * len(weights) * 3)
+    coprime = not any(x and y for x, y in zip(lead, a))
+    assert pair == (None if coprime else (ring.weighted_degree(lcm), pack(lcm)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([RING_XY, RING_UV, RING_XYZ]), st.data())
+def test_height_off_the_numerator_is_the_height_of_the_ideal(ring, data):
+    gens = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * ring.nvars), max_size=5))
+    cutoff = data.draw(st.integers(0, 8))
+    # the ideal, and its truncation to the generators up to a degree, as the
+    # leading monomials of a basis truncated there are
+    for ideal in (gens, [g for g in gens if ring.weighted_degree(g) <= cutoff]):
+        numerator = hilbert_numerator(ring, ideal)
+        if any(not any(g) for g in ideal):
+            with pytest.raises(ValueError, match="unit ideal"):
+                monomial_height(ideal)
+            with pytest.raises(ValueError, match="unit ideal"):
+                numerator_height(numerator)
+        else:
+            assert numerator_height(numerator) == monomial_height(ideal)
+
+
 HUGE = 10**20
 
 
@@ -489,7 +573,8 @@ def test_unit_ideal_is_refused_without_hanging():
               "from zeroloci.polyalg import GradedRing\n"
               "ring = GradedRing(('x', 'y', 'z'), (1, 1, 1))\n"
               "for call in (lambda: groebner.hilbert_and_grade(ring, [ring.one()], 5),\n"
-              "             lambda: groebner.monomial_height([(1, 0, 0), (0, 0, 0)])):\n"
+              "             lambda: groebner.numerator_height(\n"
+              "                 groebner.hilbert_numerator(ring, [(1, 0, 0), (0, 0, 0)]))):\n"
               "    try:\n"
               "        call()\n"
               "    except ValueError as exc:\n"
