@@ -18,6 +18,15 @@ are left to the rank route, and only they build the Koszul complex; a
 regular sequence (grade r) leaves none, and past the Groebner work limits
 every cell is.
 
+Most verifiers of a presentation read its Koszul table, so the tables are
+memoized per process: `koszul_table` keeps the last KOSZUL_MEMO_SIZE
+successful tables, keyed on the exact presentation (ring, ambient and section
+entries in order with their coefficients and declared degrees) and cutoff, and
+`koszul_table.cache_info()` reports its hits and misses.  A table is never
+cut down from one of a higher cutoff, and an error is never kept.  Tables,
+presentations and polynomials are values shared through the memo; none of
+them may be mutated.
+
 The cells left go to the rank route, `_ranks`, which alone loads the
 chain-level layer, `chains`, for its kernels; so `homology_dimensions`, the
 table of any complex, loads it only for a complex with rank cells left.
@@ -30,6 +39,7 @@ regularity check is likewise only conclusive up to its cutoff.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
+from functools import lru_cache
 
 from . import zerolocus
 from .complexes import Complex, ComplexInvariantError, WorkLimitError
@@ -43,6 +53,7 @@ __all__ = [
     "MAX_TABLE_CELLS",
     "MAX_CELL_ENTRIES",
     "MODULAR_MIN_ENTRIES",
+    "KOSZUL_MEMO_SIZE",
     "DimComparison",
     "RegularityVerdict",
     "homology_dimensions",
@@ -75,6 +86,11 @@ MAX_CELL_ENTRIES = 1000000
 # oracles: with every cell exact, the rank-route table of four dense quadrics
 # on five variables at cutoff 8 takes 32 s instead of 1.1 s (2 cores)
 MODULAR_MIN_ENTRIES = 2000
+# Koszul tables kept by `koszul_table`, least recently used dropped first.  A
+# presentation's verifiers run one after another, so a small memo keeps nearly
+# every repeat: of the 388 tables of one benchmark corpus sweep (seed 1), 216
+# repeat an earlier one, and a memo of 4 tables serves 198 of them, one of 32 209
+KOSZUL_MEMO_SIZE = 32
 
 
 class HilbertTable(Record):
@@ -241,6 +257,7 @@ def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
     return _assemble(c.terms, sorted(c.differentials), cutoff, None, lambda: c)
 
 
+@lru_cache(maxsize=KOSZUL_MEMO_SIZE, typed=True)
 def koszul_table(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
     """homology_dimensions(koszul_complex(p), cutoff), mostly without rank cells.
 
@@ -262,6 +279,13 @@ def koszul_table(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
     ranks above as exact neighbours; only they need the Koszul complex.
     Past the Groebner work limits every cell takes the rank route.  The
     limits of homology_dimensions apply, in its order (`_assemble`).
+
+    Memoized per process on the exact (p, cutoff), cutoff type included:
+    equal inputs return the identical table object, which must not be
+    mutated, for as long as it is among the last KOSZUL_MEMO_SIZE tables
+    made.  A raised error is not kept, so the same input raises again.
+    koszul_table.cache_info() counts hits and misses; cache_clear() empties
+    the memo.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")

@@ -231,7 +231,13 @@ def _times(a: Mapping, b: Mapping) -> dict:
 
 
 class Polynomial:
-    """Element of a GradedRing: finite map from exponent vectors to nonzero rationals."""
+    """Element of a GradedRing: finite map from exponent vectors to nonzero rationals.
+
+    A polynomial is a value: it hashes, and keys the Koszul-table memo
+    (`homology.koszul_table`) through its presentation, so it must not be
+    mutated.  The hash agrees with ==: a constant hashes like its scalar,
+    the zero polynomial like 0.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -320,6 +326,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
+
+    def __hash__(self):
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1:
+            [(exps, c)] = terms.items()
+            if not any(exps):  # a constant equals its scalar
+                return hash(c)
+        return hash((self.ring, frozenset(terms.items())))
 
     def partial(self, var_index: int) -> "Polynomial":
         """Partial derivative with respect to the var_index-th variable."""

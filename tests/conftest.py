@@ -13,6 +13,8 @@ the fewest variables that meet every generator, the oracle of the height the
 package reads off the Hilbert-series numerator (`groebner.numerator_height`).
 The corpus covers regular, repeated, non-regular, zero-section and
 derived-ambient presentations.
+Every test starts with an empty Koszul-table memo (`fresh_koszul_memo`), so
+no test reads a table another test computed under other patches.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import strategies as st
 
 from zeroloci.complexes import Complex, tensor
+from zeroloci.homology import koszul_table
 from zeroloci.polyalg import GradedFreeModule, GradedRing, Polynomial, PolyMatrix, graded_piece_basis
 from zeroloci.zerolocus import ZeroLocusPresentation, critical_locus
 
@@ -161,6 +164,11 @@ def drawn_entries(ring: GradedRing, drawn) -> tuple:
     """Homogeneous entries (zero allowed) from `ENTRY_DRAWS` values."""
     return tuple((random_homogeneous(ring, d, random.Random(seed), allow_zero=True), d)
                  for d, seed in drawn)
+
+
+@pytest.fixture(autouse=True)
+def fresh_koszul_memo():
+    koszul_table.cache_clear()
 
 
 @pytest.fixture

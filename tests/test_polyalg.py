@@ -214,6 +214,26 @@ def test_operators_drop_cancelled_terms():
     assert all(type(c) is Fraction for c in ((x + 1) * (x - Fraction(1, 2))).terms.values())
 
 
+_COEFFICIENTS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _COEFFICIENTS,
+                       max_size=4), _COEFFICIENTS)
+def test_equal_polynomials_hash_equal(terms, scalar):
+    p = Polynomial(RING_XY, terms)
+    # the same polynomial summed up term by term, in the other order
+    q = sum((Polynomial(RING_XY, {e: c}) for e, c in reversed(terms.items())), RING_XY.zero())
+    assert p == q and hash(p) == hash(q)
+    assert p - q == 0 and hash(p - q) == hash(0)
+    constant = Polynomial(RING_XY, {(0, 0): scalar})
+    assert constant == scalar and hash(constant) == hash(scalar)
+    if scalar.denominator == 1:
+        assert constant == int(scalar) and hash(constant) == hash(int(scalar))
+    shifted = p + scalar
+    assert shifted == q + scalar and hash(shifted) == hash(q + scalar)
+
+
 # expression trees: a leaf is a variable or a literal a or a/b; a node is
 # ("+" | "-" | "*", left, right), ("^", base, k) or ("neg", operand)
 _LEAVES = st.one_of(
