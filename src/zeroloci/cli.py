@@ -44,7 +44,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .complexes import Complex, ComplexInvariantError, exterior_algebra
+from .complexes import Complex, ComplexInvariantError
 from .gtheory import (
     CrossCheckError,
     KClass,
@@ -59,12 +59,13 @@ from .gtheory import (
     complex_from_kclass,
 )
 from .homology import HilbertTable, default_cutoff, koszul_table
-from .polyalg import GradedFreeModule, GradedRing, ParseError, Record, parse_poly
+from .polyalg import GradedRing, ParseError, Record, parse_poly
 from .zerolocus import (
     PresentationError,
     ZeroLocusPresentation,
     check_entries,
     critical_locus,
+    exterior_terms,
 )
 
 __all__ = ["ProblemFile", "Report", "ProblemFileError", "run", "main"]
@@ -334,7 +335,7 @@ def parse_problem_file(text: str) -> ProblemFile:
 def _operand_complex(problem: ProblemFile, p: ZeroLocusPresentation) -> Complex:
     """The operand's Koszul terms without a differential: its class reads only the terms."""
     entries = check_entries(p.ring, problem.module_entries or (), "[task] module")
-    return exterior_algebra(GradedFreeModule(p.ring, [d for _, d in entries]), len(entries))
+    return Complex(p.ring, exterior_terms(p.ring, tuple(d for _, d in entries)), {})
 
 
 def _presentation_echo(p: ZeroLocusPresentation) -> dict:

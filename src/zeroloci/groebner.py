@@ -1,21 +1,22 @@
 """Groebner bases of homogeneous ideals over Q, and Hilbert series of monomial ideals.
 
 `groebner_basis` is homogeneous Buchberger in weighted grevlex, with normal
-selection and the product criterion, truncated above a degree.  It returns
-the basis in the one form its certificate and its readers use: (leading
-key, primitive integer polynomial on grevlex keys) pairs.
-`groebner_failure` certifies such a basis exactly up to that degree
-(Buchberger's criterion on every S-pair the product criterion leaves, and
-membership of every input).  Both raise `GroebnerWorkLimit` past named
-work limits.  Inside, both work on packed monomials: each exponent vector
-is one int, a field of bits per variable (`_Packing`), so a product of
-monomials is a sum, the leading term is the least int and a division test
-is one subtraction and one mask.  They pack on entry and unpack on return.
+selection and the product criterion, truncated above a degree.  Both it and
+its certificate work on packed monomials: each exponent vector is one int,
+a field of bits per variable (`_Packing`), so a product of monomials is a
+sum, the leading term is the least int and a division test is one
+subtraction and one mask.  `groebner_basis` returns the basis still packed,
+(leading monomial, primitive integer polynomial) pairs, with its packing;
+`groebner_failure` reads it as it is and certifies it exactly up to that
+degree (Buchberger's criterion on every S-pair the product criterion
+leaves, and membership of every input, each packed and reduced there).
+Both raise `GroebnerWorkLimit` past named work limits.
 `hilbert_numerator` reads the Hilbert series of the ideal of the leading
 monomials without enumerating monomials, and `numerator_height` its height
-off that numerator.  `hilbert_and_grade` reads both off a certified
-basis: the one call of the Koszul table, which imports this module there,
-so importing the package does not load it.
+off that numerator.  `hilbert_and_grade` reads both off a certified basis,
+whose leading monomials alone it unpacks: the one call of the Koszul
+table, which imports this module there, so importing the package does not
+load it.
 """
 
 from __future__ import annotations
@@ -131,9 +132,8 @@ class _Packing:
 # to a nonzero rational factor, which changes neither its leading monomial nor
 # whether it is 0; integer arithmetic measured 3-5x faster than Fraction
 # arithmetic on the same bases.  A basis element is kept with its leading
-# monomial, a (lead, polynomial) pair; the public form has grevlex keys in
-# place of ints.
-_Keyed = tuple[tuple[int, ...], dict]
+# monomial, a (lead, polynomial) pair, and so is handed to the certificate.
+_Packed = tuple[int, dict]
 
 
 def _keyed(p: Polynomial, packing: _Packing) -> dict:
@@ -143,11 +143,6 @@ def _keyed(p: Polynomial, packing: _Packing) -> dict:
         scale = scale * c.denominator // gcd(scale, c.denominator)
     return _primitive({packing.pack(_grevlex_key(e)): c.numerator * (scale // c.denominator)
                        for e, c in p.terms.items()})
-
-
-def _convert(basis, f):
-    """basis, (lead, polynomial) pairs, with f applied to every monomial."""
-    return [(f(lead), {f(k): v for k, v in terms.items()}) for lead, terms in basis]
 
 
 def _primitive(p: dict) -> dict:
@@ -220,7 +215,8 @@ def _s_polynomial(f, g, lcm) -> dict:
     return out
 
 
-def groebner_basis(polys: Sequence[Polynomial], max_degree: int) -> list[_Keyed]:
+def groebner_basis(polys: Sequence[Polynomial],
+                   max_degree: int) -> tuple[list[_Packed], _Packing | None]:
     """A Groebner basis in weighted grevlex of the ideal of homogeneous polys,
     in degrees up to max_degree; zero polys are skipped.
 
@@ -234,16 +230,17 @@ def groebner_basis(polys: Sequence[Polynomial], max_degree: int) -> list[_Keyed]
     to max_degree, whose leading monomials generate in(I) in those degrees
     and a subideal of it above.  The work is done on monomials packed with
     top max_degree (`_Packing`): every variable has degree at least 1 and
-    nothing above max_degree is taken, so no exponent passes it.  Each
-    element is returned as a (leading key, polynomial) pair, the polynomial
-    primitive and integer on grevlex keys (`_grevlex_key` turns a key back
-    into exponents).  Raises GroebnerWorkLimit when the work passes
-    MAX_GROEBNER_STEPS term updates, MAX_GROEBNER_PAIRS reduced S-pairs,
-    MAX_GROEBNER_BASIS elements or MAX_GROEBNER_BITS bits in a coefficient.
-    The result is not certified here; see `groebner_failure`.
+    nothing above max_degree is taken, so no exponent passes it.  Returns
+    (basis, packing): each element a (leading monomial, polynomial) pair on
+    packed monomials, the polynomial primitive and integer, and that packing
+    (`_Packing.key` unpacks a monomial); ([], None) for no polys.  Raises
+    GroebnerWorkLimit when the work passes MAX_GROEBNER_STEPS term updates,
+    MAX_GROEBNER_PAIRS reduced S-pairs, MAX_GROEBNER_BASIS elements or
+    MAX_GROEBNER_BITS bits in a coefficient.  The result is not certified
+    here; see `groebner_failure`.
     """
     if not polys:
-        return []
+        return [], None
     packing = _Packing(polys[0].ring, max_degree)
     steps = _Steps()
     # (degree, order of arrival, an input polynomial or the S-pair of two
@@ -276,15 +273,15 @@ def groebner_basis(polys: Sequence[Polynomial], max_degree: int) -> list[_Keyed]
                 queue.append((pair[0], arrivals, (other, (lead, terms), pair[1])))
                 arrivals += 1
         basis.append((lead, terms))
-    return _convert(basis, packing.key)
+    return basis, packing
 
 
-def groebner_failure(basis: Sequence[_Keyed], polys: Sequence[Polynomial],
+def groebner_failure(basis: Sequence[_Packed], packing: _Packing, polys: Sequence[Polynomial],
                      max_degree: int) -> "str | None":
-    """Why basis, (leading key, polynomial) pairs as `groebner_basis` gives
-    them, is not a Groebner basis of the ideal of polys (over one ring, and
-    not empty when basis is not) in degrees up to max_degree, or None when
-    it is one.
+    """Why basis, (leading monomial, polynomial) pairs on packing as
+    `groebner_basis` gives them, is not a Groebner basis of the ideal of
+    polys (over one ring, and not empty when basis is not) in degrees up to
+    max_degree, or None when it is one.
 
     Buchberger's criterion, checked on every S-pair of degree up to
     max_degree whose leading monomials share a variable: each reduces to 0
@@ -295,16 +292,16 @@ def groebner_failure(basis: Sequence[_Keyed], polys: Sequence[Polynomial],
     nonzero input of degree up to max_degree reduces to 0, so the ideal of
     the basis holds those inputs.  A basis from `groebner_basis` lies in
     the ideal of its inputs by construction, so the two ideals are then
-    equal in those degrees.  The basis is packed with top the larger of
-    max_degree and its largest exponent, so a basis built up to another
-    degree is read as it is.  Raises GroebnerWorkLimit past
-    MAX_GROEBNER_STEPS term updates, so no answer is given unchecked.
+    equal in those degrees.  The pairs and inputs are packed and reduced in
+    the basis's own packing, so a basis built up to a higher degree is read
+    as it is; ValueError when max_degree passes the exponents its fields
+    hold.  Raises GroebnerWorkLimit past MAX_GROEBNER_STEPS term updates,
+    so no answer is given unchecked.
     """
     if not polys:
         return None
-    packing = _Packing(polys[0].ring,
-                       max(max_degree, 0, *(-e for _, terms in basis for k in terms for e in k)))
-    basis = _convert(basis, packing.pack)
+    if max_degree >= 1 << (packing.width - 1):
+        raise ValueError(f"degree {max_degree} passes the fields of the basis's packing")
     steps = _Steps()
     for j in range(len(basis)):
         for k in range(j):
@@ -333,14 +330,14 @@ def hilbert_and_grade(ring: GradedRing, polys: Sequence[Polynomial],
     when the certificate fails, and ValueError for the unit ideal.
     """
     try:
-        basis = groebner_basis(polys, max_degree)
-        failure = groebner_failure(basis, polys, max_degree)
+        basis, packing = groebner_basis(polys, max_degree)
+        failure = groebner_failure(basis, packing, polys, max_degree)
     except GroebnerWorkLimit:
         return None
     if failure:
         raise ComplexInvariantError(f"the Groebner basis of the entries is not certified: "
                                     f"{failure}")
-    numerator = hilbert_numerator(ring, [_grevlex_key(key) for key, _ in basis])
+    numerator = hilbert_numerator(ring, [_grevlex_key(packing.key(lead)) for lead, _ in basis])
     return numerator, numerator_height(numerator)
 
 

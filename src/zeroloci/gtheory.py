@@ -71,7 +71,12 @@ class CrossCheckError(RuntimeError):
 
 
 class KClass:
-    """Laurent polynomial in t with integer coefficients."""
+    """Laurent polynomial in t with integer coefficients.
+
+    The constructor reads every power and coefficient with operator.index;
+    the arithmetic, and the classes this module reads off terms, tables and
+    checked degrees, build their int results through `_trusted`, unchecked.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -82,12 +87,19 @@ class KClass:
                        if v}
 
     @classmethod
+    def _trusted(cls, coeffs: dict[int, int]) -> "KClass":
+        """The class of int coefficients on int powers, zeros dropped, not checked again."""
+        out = object.__new__(cls)
+        out.coeffs = {k: v for k, v in coeffs.items() if v}
+        return out
+
+    @classmethod
     def zero(cls) -> "KClass":
-        return cls({})
+        return cls._trusted({})
 
     @classmethod
     def one(cls) -> "KClass":
-        return cls({0: 1})
+        return cls._trusted({0: 1})
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "KClass":
@@ -100,16 +112,16 @@ class KClass:
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
             coeffs[k] = coeffs.get(k, 0) + v
-        return KClass(coeffs)
+        return KClass._trusted(coeffs)
 
     def __sub__(self, other: "KClass") -> "KClass":
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
             coeffs[k] = coeffs.get(k, 0) - v
-        return KClass(coeffs)
+        return KClass._trusted(coeffs)
 
     def __neg__(self) -> "KClass":
-        return KClass({k: -v for k, v in self.coeffs.items()})
+        return KClass._trusted({k: -v for k, v in self.coeffs.items()})
 
     def __mul__(self, other: "KClass") -> "KClass":
         coeffs: dict[int, int] = {}
@@ -117,10 +129,10 @@ class KClass:
             for k2, v2 in other.coeffs.items():
                 k = k1 + k2
                 coeffs[k] = coeffs.get(k, 0) + v1 * v2
-        return KClass(coeffs)
+        return KClass._trusted(coeffs)
 
     def truncate(self, max_power: int) -> "KClass":
-        return KClass({k: v for k, v in self.coeffs.items() if k <= max_power})
+        return KClass._trusted({k: v for k, v in self.coeffs.items() if k <= max_power})
 
     def __eq__(self, other):
         if not isinstance(other, KClass):
@@ -200,7 +212,7 @@ def _kclass_of_terms(terms: Mapping[int, GradedFreeModule]) -> KClass:
         sign = -1 if i % 2 else 1
         for a in module.twists:
             coeffs[a] = coeffs.get(a, 0) + sign
-    return KClass(coeffs)
+    return KClass._trusted(coeffs)
 
 
 def koszul_class(p: ZeroLocusPresentation) -> KClass:
@@ -238,7 +250,7 @@ def _kclass_of_table(table: HilbertTable, ring: GradedRing) -> KClass:
     cutoff, times the ring's denominator product, truncated there."""
     total = KClass.zero()
     for i in table.cohomological_degrees():
-        series = KClass({d: table.dim(i, d) for d in range(table.cutoff + 1)})
+        series = KClass._trusted({d: table.dim(i, d) for d in range(table.cutoff + 1)})
         total = total + (series if i % 2 == 0 else -series)
     return (total * lambda_minus_one(ring.degrees)).truncate(table.cutoff)
 
@@ -249,7 +261,7 @@ def lambda_minus_one(degrees: Sequence[int]) -> KClass:
     for d in as_integers(degrees, "twist degrees"):
         if d < 1:
             raise ValueError("twist degrees must be positive")
-        out = out * KClass({0: 1, d: -1})
+        out = out * KClass._trusted({0: 1, d: -1})
     return out
 
 

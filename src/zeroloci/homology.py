@@ -20,12 +20,13 @@ every cell is.
 
 Most verifiers of a presentation read its Koszul table, so the tables are
 memoized per process: `koszul_table` keeps the last KOSZUL_MEMO_SIZE
-successful tables, keyed on the exact presentation (ring, ambient and section
-entries in order with their coefficients and declared degrees) and cutoff, and
-`koszul_table.cache_info()` reports its hits and misses.  A table is never
-cut down from one of a higher cutoff, and an error is never kept.  Tables,
-presentations and polynomials are values shared through the memo; none of
-them may be mutated.
+successful tables, keyed on what a table reads, the ring and all entries in
+order (ambient then section, with their coefficients and declared degrees),
+and the cutoff; `koszul_table.cache_info()` reports its hits and misses.
+A table is never cut down from one of a higher cutoff, and an error is
+never kept.  A table reads its terms from the memo of term layouts
+(`zerolocus.exterior_terms`).  Tables, presentations, polynomials and term
+layouts are values shared through the memos; none of them may be mutated.
 
 The cells left go to the rank route, `_ranks`, which alone loads the
 chain-level layer, `chains`, for its kernels; so `homology_dimensions`, the
@@ -43,8 +44,8 @@ from functools import lru_cache
 
 from . import zerolocus
 from .complexes import Complex, ComplexInvariantError, WorkLimitError
-from .polyalg import GradedFreeModule, Record, RingMismatch, graded_piece_dim
-from .zerolocus import ZeroLocusPresentation, koszul_terms
+from .polyalg import GradedFreeModule, GradedRing, Record, RingMismatch, graded_piece_dim
+from .zerolocus import ZeroLocusPresentation, exterior_terms
 
 __all__ = [
     "HilbertTable",
@@ -257,7 +258,6 @@ def homology_dimensions(c: Complex, cutoff: int) -> HilbertTable:
     return _assemble(c.terms, sorted(c.differentials), cutoff, None, lambda: c)
 
 
-@lru_cache(maxsize=KOSZUL_MEMO_SIZE, typed=True)
 def koszul_table(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
     """homology_dimensions(koszul_complex(p), cutoff), mostly without rank cells.
 
@@ -280,28 +280,35 @@ def koszul_table(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
     Past the Groebner work limits every cell takes the rank route.  The
     limits of homology_dimensions apply, in its order (`_assemble`).
 
-    Memoized per process on the exact (p, cutoff), cutoff type included:
-    equal inputs return the identical table object, which must not be
-    mutated, for as long as it is among the last KOSZUL_MEMO_SIZE tables
-    made.  A raised error is not kept, so the same input raises again.
-    koszul_table.cache_info() counts hits and misses; cache_clear() empties
-    the memo.
+    Memoized per process on what the table reads, (p.ring, p.all_entries,
+    cutoff), cutoff type included: so entries split otherwise between
+    ambient and section share a table.  Equal inputs return the identical
+    table object, which must not be mutated, for as long as it is among the
+    last KOSZUL_MEMO_SIZE tables made.  A raised error is not kept, so the
+    same input raises again.  koszul_table.cache_info() counts hits and
+    misses; cache_clear() empties the memo.
     """
+    return _koszul_table(p.ring, p.all_entries, cutoff)
+
+
+@lru_cache(maxsize=KOSZUL_MEMO_SIZE, typed=True)
+def _koszul_table(ring: GradedRing, all_entries: tuple, cutoff: int) -> HilbertTable:
+    """The Koszul table of these entries over ring (`koszul_table`)."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    entries = [f for f, _ in p.all_entries if not f.is_zero()]
-    r = len(p.all_entries)
+    entries = [f for f, _ in all_entries if not f.is_zero()]
+    r = len(all_entries)
 
     def known(dims: dict[tuple[int, int], int], degrees: range) -> dict[tuple[int, int], int]:
         from . import groebner
 
-        ideal = groebner.hilbert_and_grade(p.ring, entries, cutoff)
+        ideal = groebner.hilbert_and_grade(ring, entries, cutoff)
         if ideal is None:
             return {}
         numerator, grade = ideal
         ranks = {}
         for d in degrees:
-            ranks[-1, d] = dims[0, d] - sum(c * graded_piece_dim(p.ring, d - k)
+            ranks[-1, d] = dims[0, d] - sum(c * graded_piece_dim(ring, d - k)
                                             for k, c in numerator.items())
             below = 0
             for i in range(r, r - grade, -1):
@@ -313,8 +320,13 @@ def koszul_table(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
                 ranks[-i, d] = below = rank
         return ranks
 
-    return _assemble(koszul_terms(p), range(-r, 0) if entries else (), cutoff, known,
-                     lambda: zerolocus.koszul_complex(p))
+    return _assemble(exterior_terms(ring, tuple(d for _, d in all_entries)),
+                     range(-r, 0) if entries else (), cutoff, known,
+                     lambda: zerolocus.koszul_complex(ZeroLocusPresentation(ring, (), all_entries)))
+
+
+koszul_table.cache_info, koszul_table.cache_clear = (_koszul_table.cache_info,
+                                                     _koszul_table.cache_clear)
 
 
 def compare_tables(a: HilbertTable, b: HilbertTable) -> tuple[int, int, int, int] | None:

@@ -5,16 +5,21 @@ entries: the ambient list cuts out a derived ambient space as an iterated
 zero locus over affine space, and the section list gives the components
 of a section of a twisted free bundle over that ambient.  The associated
 Koszul complex computes the derived quotient; its terms are
-`koszul_terms`.  The complex itself, the symmetric-power invariants (a
-subcomplex of it when deliberately shortened, marked by an explicit
-truncation flag rather than an error), the Jacobian and the cotangent
-complex are built in the chain-level layer, `chains`, which loads on first
-use; the names of this module's `__all__` it does not define resolve there.
+`koszul_terms`, built once per process for each ring and list of entry
+degrees (`exterior_terms`).  The complex itself, the symmetric-power
+invariants (a subcomplex of it when deliberately shortened, marked by an
+explicit truncation flag rather than an error), the Jacobian and the
+cotangent complex are built in the chain-level layer, `chains`, which
+loads on first use; the names of this module's `__all__` it does not
+define resolve there.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import lru_cache
 from operator import index
+from types import MappingProxyType
 
 from .complexes import exterior_algebra
 from .polyalg import GradedFreeModule, GradedRing, Polynomial, Record, forward_to_chains
@@ -27,6 +32,8 @@ __all__ = [
     "SymInvariantsResult",
     "koszul_complex",
     "koszul_terms",
+    "exterior_terms",
+    "TERMS_MEMO_SIZE",
     "check_entries",
     "sym_cofib_invariants",
     "critical_locus",
@@ -36,6 +43,12 @@ __all__ = [
 ]
 
 SectionEntry = tuple[Polynomial, int]
+
+# term layouts kept by `exterior_terms`, least recently used dropped first: one
+# benchmark corpus sweep (seed 1) asks for 565 (Koszul terms and the operands
+# of verify-lefschetz), 20 distinct; a memo of 16 serves 543 of the 545
+# repeats, one of 32 all of them
+TERMS_MEMO_SIZE = 32
 
 
 class PresentationError(ValueError):
@@ -101,13 +114,27 @@ class ZeroLocusPresentation(Record):
         return GradedFreeModule(self.ring, self.section_degrees)
 
 
-def koszul_terms(p: ZeroLocusPresentation) -> dict[int, GradedFreeModule]:
-    """The terms of koszul_complex(p), in its layout, without building a differential.
+def koszul_terms(p: ZeroLocusPresentation) -> Mapping[int, GradedFreeModule]:
+    """The terms of koszul_complex(p), in its layout, without building a differential:
+    exterior_terms of the ring and the degrees of all entries, shared and read-only.
 
     The degree -n term is Lambda^n of all entries: the n-subset sums of their
     twists, the exterior algebra on the entries' twists.
     """
-    return exterior_algebra(GradedFreeModule(p.ring, p.all_degrees), len(p.all_entries)).terms
+    return exterior_terms(p.ring, p.all_degrees)
+
+
+@lru_cache(maxsize=TERMS_MEMO_SIZE)
+def exterior_terms(ring: GradedRing, degrees: tuple[int, ...]) -> Mapping[int, GradedFreeModule]:
+    """The terms of the exterior algebra on generators of these twists, Lambda^n
+    in degree -n: the Koszul terms of entries of these degrees.
+
+    Memoized per process on (ring, degrees): equal inputs return one
+    read-only mapping (a MappingProxyType, so writing to it raises) for as
+    long as it is among the last TERMS_MEMO_SIZE made.  A raised error
+    (WorkLimitError past MAX_GENERATORS) is not kept.
+    """
+    return MappingProxyType(exterior_algebra(GradedFreeModule(ring, degrees), len(degrees)).terms)
 
 
 def critical_locus(w: Polynomial) -> ZeroLocusPresentation:

@@ -13,8 +13,9 @@ the fewest variables that meet every generator, the oracle of the height the
 package reads off the Hilbert-series numerator (`groebner.numerator_height`).
 The corpus covers regular, repeated, non-regular, zero-section and
 derived-ambient presentations.
-Every test starts with an empty Koszul-table memo (`fresh_koszul_memo`), so
-no test reads a table another test computed under other patches.
+Every test starts with empty memos (`fresh_memos`): no Koszul table, term
+layout or parsed polynomial is kept from another test, so no test reads a
+value another test computed under other patches.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from hypothesis import strategies as st
 
 from zeroloci.complexes import Complex, tensor
 from zeroloci.homology import koszul_table
-from zeroloci.polyalg import GradedFreeModule, GradedRing, Polynomial, PolyMatrix, graded_piece_basis
-from zeroloci.zerolocus import ZeroLocusPresentation, critical_locus
+from zeroloci.polyalg import (GradedFreeModule, GradedRing, Polynomial, PolyMatrix,
+                              graded_piece_basis, parse_poly)
+from zeroloci.zerolocus import ZeroLocusPresentation, critical_locus, exterior_terms
 
 
 def echelon_rank(rows: list[list[Fraction]]) -> int:
@@ -167,8 +169,9 @@ def drawn_entries(ring: GradedRing, drawn) -> tuple:
 
 
 @pytest.fixture(autouse=True)
-def fresh_koszul_memo():
-    koszul_table.cache_clear()
+def fresh_memos():
+    for memo in (koszul_table, exterior_terms, parse_poly):
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -396,7 +396,12 @@ def test_main_engine_fault_exit_three(tmp_path, capsys, monkeypatch, fault):
 def test_main_uncertified_groebner_basis_exit_three(tmp_path, capsys, monkeypatch):
     # a basis short of its last element fails its certificate: an engine fault
     original = groebner.groebner_basis
-    monkeypatch.setattr(groebner, "groebner_basis", lambda polys, top: original(polys, top)[:-1])
+
+    def short(polys, top):
+        basis, packing = original(polys, top)
+        return basis[:-1], packing
+
+    monkeypatch.setattr(groebner, "groebner_basis", short)
     assert main([write(tmp_path, NON_REGULAR.format(kind="homology"))]) == 3
     captured = capsys.readouterr()
     assert "engine fault: the Groebner basis of the entries is not certified" in captured.err

@@ -94,6 +94,30 @@ def test_kclass_refuses_non_integers(coeffs, message):
         lambda_minus_one([1, 1.5])
 
 
+@pytest.mark.parametrize("coeffs", [{0: 1.5}, {0: "2"}, {1.5: 1}, {"2": 1}])
+def test_kclass_constructor_still_checks_every_value(coeffs):
+    # the arithmetic builds its results unchecked; the public constructor does not
+    with pytest.raises(ValueError, match="must be integers"):
+        KClass(coeffs)
+
+
+LAURENT = st.dictionaries(st.integers(-4, 6), st.integers(-3, 3), max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(LAURENT, LAURENT, st.integers(-5, 12))
+def test_kclass_arithmetic_equals_the_checked_constructor(a, b, cutoff):
+    x, y = KClass(a), KClass(b)
+    for result in (x + y, x - y, -x, x * y, x.truncate(cutoff), KClass.zero(), KClass.one()):
+        checked = KClass(result.coeffs)
+        assert result == checked and result.coeffs == checked.coeffs
+        assert all(type(k) is int and type(v) is int and v for k, v in result.coeffs.items())
+    # and against the coefficients summed and multiplied here
+    assert (x * y).coeffs == KClass({k: sum(a[i] * b[k - i] for i in a if k - i in b)
+                                     for k in range(-8, 13)}).coeffs
+    assert (x - y).coeffs == KClass({k: a.get(k, 0) - b.get(k, 0) for k in {*a, *b}}).coeffs
+
+
 # -- classes of complexes --------------------------------------------------------------
 
 

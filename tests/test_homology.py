@@ -388,12 +388,12 @@ def test_groebner_certificate_refuses_a_basis_short_of_one_element(monkeypatch):
     # the last element comes from the S-pair of the two quadrics, in degree 3;
     # the certificate checks pairs and inputs up to and including its degree
     entries = [parse_poly(t, RING_XYZ) for t in ("x^2 - y*z", "x*y - z^2")]
-    basis = groebner_basis(entries, 10)
+    basis, packing = groebner_basis(entries, 10)
     # a leading key is the exponent vector negated (and reversed)
-    assert [-sum(lead) for lead, _ in basis] == [2, 2, 3]
+    assert [-sum(packing.key(lead)) for lead, _ in basis] == [2, 2, 3]
 
     def certify(given, max_degree):
-        monkeypatch.setattr(groebner, "groebner_basis", lambda polys, top: given)
+        monkeypatch.setattr(groebner, "groebner_basis", lambda polys, top: (given, packing))
         groebner.hilbert_and_grade(RING_XYZ, entries, max_degree)
 
     certify(basis, 10)
@@ -444,8 +444,8 @@ def test_groebner_work_limit_falls_back_to_the_rank_route(monkeypatch, limit):
 
 def test_groebner_basis_skips_zero_inputs():
     x = parse_poly("x", RING_XY)
-    assert groebner_basis([RING_XY.zero()], 5) == []
-    assert groebner_basis([RING_XY.zero(), x], 5) == groebner_basis([x], 5)
+    assert groebner_basis([RING_XY.zero()], 5)[0] == []
+    assert groebner_basis([RING_XY.zero(), x], 5)[0] == groebner_basis([x], 5)[0]
 
 
 def test_s_pairs_arrive_after_every_input_past_a_skipped_one():
@@ -454,24 +454,30 @@ def test_s_pairs_arrive_after_every_input_past_a_skipped_one():
     # (it once tied with the cubic's place in the list and failed to compare)
     texts = ("x^10", "x^2 - y*z", "x*y - z^2", "y^3 + z^3")
     entries = [parse_poly(t, RING_XYZ) for t in texts]
-    basis = groebner_basis(entries, 5)
-    assert basis == groebner_basis(entries[1:], 5)
-    assert [-sum(lead) for lead, _ in basis] == [2, 2, 3, 3, 4, 4]
+    basis, packing = groebner_basis(entries, 5)
+    assert basis == groebner_basis(entries[1:], 5)[0]
+    assert [-sum(packing.key(lead)) for lead, _ in basis] == [2, 2, 3, 3, 4, 4]
     p = pres(RING_XYZ, [(t, d) for t, d in zip(texts, (10, 2, 2, 3))])
     assert koszul_table(p, 5) == _oracle(p, 5)
 
 
 def test_certificate_reads_a_basis_built_at_a_higher_cutoff():
     # up to degree 10 the basis holds y^8, whose exponent 8 fills more than the
-    # 3-bit fields that cutoff 3 alone gives (read in them, it is z); without
-    # the cubic, the certificate at 3 still finds the S-pair it came from
+    # 3-bit fields that cutoff 3 alone gives (read in them, it is z); the
+    # certificate reads it in the basis's own packing, and without the cubic,
+    # at 3 it still finds the S-pair it came from
     entries = [parse_poly(t, RING_XYZ) for t in ("x^2 - y*z", "x*y - z^2", "y^8")]
-    basis = groebner_basis(entries, 10)
-    assert [-sum(lead) for lead, _ in basis] == [2, 2, 3, 8, 9, 9, 10]
-    assert basis[3] == ((0, -8, 0), {(0, -8, 0): 1})
-    assert groebner_failure(basis, entries, 3) is None
-    assert (groebner_failure(basis[:2] + basis[3:], entries, 3)
+    basis, packing = groebner_basis(entries, 10)
+    assert [-sum(packing.key(lead)) for lead, _ in basis] == [2, 2, 3, 8, 9, 9, 10]
+    y8 = packing.pack((0, -8, 0))
+    assert basis[3] == (y8, {y8: 1})
+    assert groebner_failure(basis, packing, entries, 3) is None
+    assert (groebner_failure(basis[:2] + basis[3:], packing, entries, 3)
             == "the S-pair of elements 0 and 1 does not reduce to 0")
+    # a degree past what the fields hold (5 bits: exponents up to 15) is refused
+    assert groebner_failure(basis, packing, entries, 15) is None
+    with pytest.raises(ValueError, match="passes the fields"):
+        groebner_failure(basis, packing, entries, 16)
 
 
 def _monomial(pieces, data, degrees) -> tuple[int, ...]:
