@@ -1,16 +1,17 @@
 """Groebner bases of homogeneous ideals over Q, and Hilbert series of monomial ideals.
 
 `groebner_basis` is homogeneous Buchberger in weighted grevlex, with normal
-selection and the product criterion, truncated above a degree.  Both it and
-its certificate work on packed monomials: each exponent vector is one int,
-a field of bits per variable (`_Packing`), so a product of monomials is a
-sum, the leading term is the least int and a division test is one
-subtraction and one mask.  `groebner_basis` returns the basis still packed,
-(leading monomial, primitive integer polynomial) pairs, with its packing;
-`groebner_failure` reads it as it is and certifies it exactly up to that
-degree (Buchberger's criterion on every S-pair the product criterion
-leaves, and membership of every input, each packed and reduced there).
-Both raise `GroebnerWorkLimit` past named work limits.
+selection and the product criterion, truncated above a degree.  A monomial
+is an exponent tuple outside this module and one packed int inside it, a
+field of bits per variable (`_Packing.pack`, undone by `exponents`), so a
+product of monomials is a sum, the leading term is the least int and a
+division test is one subtraction and one mask.  `groebner_basis` returns
+the basis still packed, (leading monomial, primitive integer polynomial)
+pairs, with its packing; `groebner_failure` reads it as it is and
+certifies it exactly up to that degree (Buchberger's criterion on every
+S-pair the product criterion leaves, and membership of every input, each
+packed and reduced there).  Both raise `GroebnerWorkLimit` past named
+work limits.
 `hilbert_numerator` reads the Hilbert series of the ideal of the leading
 monomials without enumerating monomials, and `numerator_height` its height
 off that numerator.  `hilbert_and_grade` reads both off a certified basis,
@@ -21,7 +22,7 @@ load it.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import comb, gcd, lcm
 from collections.abc import Sequence
 
 from .complexes import ComplexInvariantError
@@ -74,13 +75,6 @@ class _Steps:
             raise GroebnerWorkLimit(f"more than {MAX_GROEBNER_STEPS} term updates")
 
 
-def _grevlex_key(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """Sort key of weighted grevlex among monomials of one weighted degree:
-    the larger monomial has the smaller exponent in the last variable where
-    they differ.  The key is an involution, and keys add as exponents do."""
-    return tuple(-e for e in reversed(exps))
-
-
 class _Packing:
     """Monomials of a ring with every exponent at most top, packed as ints.
 
@@ -88,32 +82,30 @@ class _Packing:
     the last variable is the most significant; the top bit of each field is
     a guard bit, 0 in a monomial, and guard has all of them.  An int compares
     as the reversed exponent vector does, so within one weighted degree the
-    smaller int is the grevlex-larger monomial.  A product of monomials is
-    the sum of their ints while no exponent passes top, and lead divides m
-    exactly when (m + guard - lead) & guard == guard: field i of
-    m + guard - lead is m_i - lead_i + 2^(W - 1), which keeps its guard bit
-    exactly when m_i >= lead_i and never borrows from the next field.
+    smaller int is the grevlex-larger monomial: the larger monomial has the
+    smaller exponent in the last variable where they differ.  A product of
+    monomials is the sum of their ints while no exponent passes top, and
+    lead divides m exactly when (m + guard - lead) & guard == guard: field i
+    of m + guard - lead is m_i - lead_i + 2^(W - 1), which keeps its guard
+    bit exactly when m_i >= lead_i and never borrows from the next field.
     """
 
     def __init__(self, ring: GradedRing, top: int):
         self.ring = ring
         self.width = top.bit_length() + 1
-        self.guard = self.pack((-(1 << top.bit_length()),) * ring.nvars)
+        self.guard = self.pack((1 << top.bit_length(),) * ring.nvars)
 
-    def pack(self, key) -> int:
-        """The monomial of the grevlex key key."""
+    def pack(self, exps) -> int:
+        """The monomial of the exponent vector exps."""
         m = 0
-        for e in key:
-            m = (m << self.width) - e
+        for e in reversed(exps):
+            m = (m << self.width) + e
         return m
 
-    def key(self, m) -> tuple[int, ...]:
-        """The grevlex key of the monomial m."""
-        key = ()
-        for _ in range(self.ring.nvars):
-            m, e = divmod(m, 1 << self.width)
-            key = (-e,) + key
-        return key
+    def exponents(self, m) -> tuple[int, ...]:
+        """The exponent vector of the monomial m."""
+        mask = (1 << self.width) - 1
+        return tuple(m >> (i * self.width) & mask for i in range(self.ring.nvars))
 
     def pair(self, a, b, top):
         """(degree, lcm) of the S-pair of leading monomials a and b, or None
@@ -122,36 +114,43 @@ class _Packing:
         d = b + self.guard - a
         g = d & self.guard
         lcm = a + (d & (g - (g >> (self.width - 1))))
-        degree = self.ring.weighted_degree(_grevlex_key(self.key(lcm)))
+        degree = self.ring.weighted_degree(self.exponents(lcm))
         return (degree, lcm) if lcm != a + b and degree <= top else None
 
 
 # Buchberger's algorithm works on polynomials as {packed monomial: int} dicts
-# (`_Packing`), so the leading term is the least int, a product of monomials
-# is the sum of their ints, and a division test is one mask.  Each is kept up
-# to a nonzero rational factor, which changes neither its leading monomial nor
-# whether it is 0; integer arithmetic measured 3-5x faster than Fraction
-# arithmetic on the same bases.  A basis element is kept with its leading
-# monomial, a (lead, polynomial) pair, and so is handed to the certificate.
+# (`_Packing`), and a reduction step and an S-polynomial make their term
+# updates through one `_add_shifted`.  Each polynomial is kept up to a nonzero
+# rational factor, which changes neither its leading monomial nor whether it
+# is 0; integer arithmetic measured 3-5x faster than Fraction arithmetic on
+# the same bases.  A basis element is kept with its leading monomial, a
+# (lead, polynomial) pair, and so is handed to the certificate.
 _Packed = tuple[int, dict]
 
 
-def _keyed(p: Polynomial, packing: _Packing) -> dict:
+def _pack_poly(p: Polynomial, packing: _Packing) -> dict:
     """p as a primitive integer polynomial on packed monomials, positive leading coefficient."""
-    scale = 1
-    for c in p.terms.values():
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    return _primitive({packing.pack(_grevlex_key(e)): c.numerator * (scale // c.denominator)
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    return _primitive({packing.pack(e): c.numerator * (scale // c.denominator)
                        for e, c in p.terms.items()})
 
 
 def _primitive(p: dict) -> dict:
-    g = 0
-    for v in p.values():
-        g = gcd(g, v)
+    g = gcd(*p.values())
     if p[min(p)] < 0:
         g = -g
     return p if g == 1 else {k: v // g for k, v in p.items()}
+
+
+def _add_shifted(p: dict, factor: int, shift: int, g: dict) -> None:
+    """p += factor x^shift g on packed monomials, dropping the terms that cancel."""
+    for k, v in g.items():
+        k += shift
+        w = p.get(k, 0) + factor * v
+        if w:
+            p[k] = w
+        else:
+            del p[k]
 
 
 def _reduce(p: dict, basis, steps: _Steps, guard, top_only: bool = False) -> dict:
@@ -164,34 +163,26 @@ def _reduce(p: dict, basis, steps: _Steps, guard, top_only: bool = False) -> dic
     remainder = {}
     while p:
         m = min(p)
-        c = p.pop(m)
+        c = p[m]
         for lead, g in basis:
             if (m + guard - lead) & guard == guard:
                 break
         else:
-            remainder[m] = c
+            remainder[m] = p.pop(m)
             if top_only:
                 break
             continue
-        # p <- a p - c m/lead g, both factors divided by gcd(a, c)
+        # p <- a p - c m/lead g, both factors divided by gcd(a, c): cancels m
         a = g[lead]
         q = gcd(a, c)
         a, c = a // q, c // q
-        steps.spend(len(g) + (len(p) + len(remainder) if a != 1 else 0))
+        steps.spend(len(g) + (len(p) - 1 + len(remainder) if a != 1 else 0))
         if a != 1:
             for k in p:
                 p[k] *= a
             for k in remainder:
                 remainder[k] *= a
-        shift = m - lead
-        for k, v in g.items():
-            if k != lead:
-                k += shift
-                w = p.get(k, 0) - c * v
-                if w:
-                    p[k] = w
-                else:
-                    del p[k]
+        _add_shifted(p, -c, m - lead, g)
     return remainder
 
 
@@ -203,15 +194,8 @@ def _s_polynomial(f, g, lcm) -> dict:
     a, b = tf[lf], tg[lg]
     q = gcd(a, b)
     out: dict = {}
-    for lead, terms, factor in ((lf, tf, b // q), (lg, tg, -a // q)):
-        shift = lcm - lead
-        for k, v in terms.items():
-            k += shift
-            w = out.get(k, 0) + factor * v
-            if w:
-                out[k] = w
-            else:
-                del out[k]
+    _add_shifted(out, b // q, lcm - lf, tf)
+    _add_shifted(out, -a // q, lcm - lg, tg)
     return out
 
 
@@ -233,7 +217,7 @@ def groebner_basis(polys: Sequence[Polynomial],
     nothing above max_degree is taken, so no exponent passes it.  Returns
     (basis, packing): each element a (leading monomial, polynomial) pair on
     packed monomials, the polynomial primitive and integer, and that packing
-    (`_Packing.key` unpacks a monomial); ([], None) for no polys.  Raises
+    (`_Packing.exponents` unpacks a monomial); ([], None) for no polys.  Raises
     GroebnerWorkLimit when the work passes MAX_GROEBNER_STEPS term updates,
     MAX_GROEBNER_PAIRS reduced S-pairs, MAX_GROEBNER_BASIS elements or
     MAX_GROEBNER_BITS bits in a coefficient.  The result is not certified
@@ -245,7 +229,7 @@ def groebner_basis(polys: Sequence[Polynomial],
     steps = _Steps()
     # (degree, order of arrival, an input polynomial or the S-pair of two
     # basis elements as _s_polynomial takes it); the least is taken next
-    queue = [(d, k, _keyed(p, packing)) for k, p in enumerate(polys)
+    queue = [(d, k, _pack_poly(p, packing)) for k, p in enumerate(polys)
              if not p.is_zero() and (d := p.homogeneous_degree()) <= max_degree]
     arrivals = len(polys)
     basis = []
@@ -312,7 +296,7 @@ def groebner_failure(basis: Sequence[_Packed], packing: _Packing, polys: Sequenc
     for k, p in enumerate(polys):
         if p.is_zero() or p.homogeneous_degree() > max_degree:
             continue
-        if _reduce(_keyed(p, packing), basis, steps, packing.guard, top_only=True):
+        if _reduce(_pack_poly(p, packing), basis, steps, packing.guard, top_only=True):
             return f"input {k} does not reduce to 0"
     return None
 
@@ -337,7 +321,7 @@ def hilbert_and_grade(ring: GradedRing, polys: Sequence[Polynomial],
     if failure:
         raise ComplexInvariantError(f"the Groebner basis of the entries is not certified: "
                                     f"{failure}")
-    numerator = hilbert_numerator(ring, [_grevlex_key(packing.key(lead)) for lead, _ in basis])
+    numerator = hilbert_numerator(ring, [packing.exponents(lead) for lead, _ in basis])
     return numerator, numerator_height(numerator)
 
 

@@ -42,7 +42,8 @@ from .complexes import (
 )
 from .homology import (DimComparison, HilbertTable, compare_tables, homology_dimensions,
                        koszul_table)
-from .polyalg import GradedFreeModule, GradedRing, ParseError, Record, RingMismatch, as_integers
+from .polyalg import (GradedFreeModule, GradedRing, ParseError, Record, RingMismatch, as_integers,
+                      signed_sum)
 from .zerolocus import PresentationError, ZeroLocusPresentation, koszul_terms
 
 __all__ = [
@@ -108,17 +109,17 @@ class KClass:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "KClass") -> "KClass":
+    def _sum(self, other: "KClass", sign: int) -> "KClass":
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0) + v
+            coeffs[k] = coeffs.get(k, 0) + sign * v
         return KClass._trusted(coeffs)
 
+    def __add__(self, other: "KClass") -> "KClass":
+        return self._sum(other, 1)
+
     def __sub__(self, other: "KClass") -> "KClass":
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0) - v
-        return KClass._trusted(coeffs)
+        return self._sum(other, -1)
 
     def __neg__(self) -> "KClass":
         return KClass._trusted({k: -v for k, v in self.coeffs.items()})
@@ -143,23 +144,8 @@ class KClass:
         return hash(tuple(sorted(self.coeffs.items())))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for k in sorted(self.coeffs):
-            v = self.coeffs[k]
-            mag = abs(v)
-            if k == 0:
-                body = str(mag)
-            else:
-                power = "t" if k == 1 else f"t^{k}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            pieces.append(("-" if v < 0 else "+", body))
-        sign, body = pieces[0]
-        out = body if sign == "+" else "-" + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_sum(("t" if k == 1 else f"t^{k}" if k else "", v)
+                          for k, v in sorted(self.coeffs.items()))
 
     def __repr__(self):
         return f"KClass({self})"

@@ -5,14 +5,15 @@ Polynomials carry a single positive Z-grading (each variable has a weight
 `fractions.Fraction`; there is no floating point anywhere in this package.
 Terms are a dict {exponent tuple: coefficient} with no zero value;
 `_add_terms` and `_times` sum and multiply such dicts for the operators and
-for `parse_poly`.  Its recursive descent folds the atomic factors of a term
-(numbers, a/b, variables and their powers) into one monomial, a coefficient
-kept as int until an a/b brings in a Fraction, and takes the dict product
-only for a parenthesised factor; the result's coefficients become Fractions
-and no other check runs on it; `parse_poly` keeps its last PARSE_MEMO_SIZE
-results, so each (text, ring) is parsed once per process.  Twisted free
-modules count their graded pieces without enumerating them
-(`graded_piece_dim`).
+for `parse_poly`, and `signed_sum` prints them, as it prints the K-classes
+of `gtheory`.  The parser's recursive descent folds the atomic factors of
+a term (numbers, a/b, variables and their powers) into one monomial, a
+coefficient kept as int until an a/b brings in a Fraction, and takes the
+dict product only for a parenthesised factor; the result's coefficients
+become Fractions and no other check runs on it; `parse_poly` keeps its
+last PARSE_MEMO_SIZE results, so each (text, ring) is parsed once per
+process.  Twisted free modules count their graded pieces without
+enumerating them (`graded_piece_dim`).
 Homogeneous matrices, their degree pieces and the rank kernels live in the
 chain-level layer, `chains`, which loads on first use; the names of this
 module's `__all__` it does not define resolve there (`forward_to_chains`).
@@ -96,6 +97,18 @@ def as_integers(values, what: str) -> tuple[int, ...]:
         return tuple(map(index, values))
     except TypeError:
         raise ValueError(f"{what} must be integers, not {tuple(values)!r}") from None
+
+
+def signed_sum(terms) -> str:
+    """The text of a sum of (monomial text, nonzero rational) terms, in the
+    order given, as "-x^2 + 3/2*x*y - 2": a coefficient of 1 is left out
+    before a monomial, "" is the monomial 1, and no terms print as "0"."""
+    out = ""
+    for mono, c in terms:
+        mag = abs(c)
+        body = mono if mag == 1 and mono else f"{mag}*{mono}" if mono else str(mag)
+        out += (" - " if c < 0 else " + ") + body
+    return "-" + out[3:] if out.startswith(" - ") else out[3:] or "0"
 
 
 class Record:
@@ -243,14 +256,14 @@ class Polynomial:
 
     A polynomial is a value: `parse_poly` shares it between equal inputs,
     and it hashes and keys the Koszul-table memo (`homology.koszul_table`),
-    so it must not be mutated.  The hash agrees with ==: a constant hashes
-    like its scalar, the zero polynomial like 0.
+    so it must not be mutated.  The hash agrees with == and is computed
+    once: a constant hashes like its scalar, the zero polynomial like 0.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: GradedRing, terms: Mapping[tuple[int, ...], Fraction]):
-        self.ring = ring
+        self.ring, self._hash = ring, None
         self.terms: dict[tuple[int, ...], Fraction] = {}
         for key, c in terms.items():
             c = Fraction(c)
@@ -288,7 +301,7 @@ class Polynomial:
     def _trusted(cls, ring: GradedRing, terms: dict) -> "Polynomial":
         """A polynomial on terms already valid for ring, not checked again."""
         p = object.__new__(cls)
-        p.ring, p.terms = ring, terms
+        p.ring, p.terms, p._hash = ring, terms, None
         return p
 
     def _coerce(self, other):
@@ -335,15 +348,17 @@ class Polynomial:
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
-    def __hash__(self):
-        terms = self.terms
-        if not terms:
-            return hash(0)
-        if len(terms) == 1:
-            [(exps, c)] = terms.items()
-            if not any(exps):  # a constant equals its scalar
-                return hash(c)
-        return hash((self.ring, frozenset(terms.items())))
+    def __hash__(self):  # computed once: equal polynomials key the Koszul-table memo
+        if self._hash is None:
+            terms = self.terms
+            constant = not terms or len(terms) == 1 and not any(next(iter(terms)))
+            # a constant hashes like its scalar, the zero polynomial like 0
+            self._hash = (hash(terms.get((0,) * self.ring.nvars, 0)) if constant
+                          else hash((self.ring, frozenset(terms.items()))))
+        return self._hash
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__: string hashes differ
+        return type(self), (self.ring, self.terms)
 
     def partial(self, var_index: int) -> "Polynomial":
         """Partial derivative with respect to the var_index-th variable."""
@@ -359,34 +374,11 @@ class Polynomial:
 
     # -- printing --------------------------------------------------------
 
-    def _monomial_str(self, exps: tuple[int, ...]) -> str:
-        parts = []
-        for name, k in zip(self.ring.variables, exps):
-            if k == 0:
-                continue
-            parts.append(name if k == 1 else f"{name}^{k}")
-        return "*".join(parts)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps in sorted(self.terms, reverse=True):
-            c = self.terms[exps]
-            mono = self._monomial_str(exps)
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        out = body if sign == "+" else "-" + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        names = self.ring.variables
+        return signed_sum(
+            ("*".join([x if k == 1 else f"{x}^{k}" for x, k in zip(names, e) if k]), c)
+            for e, c in sorted(self.terms.items(), reverse=True))
 
     def __repr__(self):
         return f"Polynomial({self})"

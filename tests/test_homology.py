@@ -26,8 +26,7 @@ from zeroloci.homology import (
     koszul_table,
     same_homology_dims,
 )
-from zeroloci.groebner import (
-    _grevlex_key, groebner_basis, groebner_failure, hilbert_numerator, numerator_height)
+from zeroloci.groebner import groebner_basis, groebner_failure, hilbert_numerator, numerator_height
 from zeroloci.polyalg import (
     GradedFreeModule, GradedRing, Polynomial, PolyMatrix, graded_piece_basis, parse_poly,
     rational_rank)
@@ -389,8 +388,8 @@ def test_groebner_certificate_refuses_a_basis_short_of_one_element(monkeypatch):
     # the certificate checks pairs and inputs up to and including its degree
     entries = [parse_poly(t, RING_XYZ) for t in ("x^2 - y*z", "x*y - z^2")]
     basis, packing = groebner_basis(entries, 10)
-    # a leading key is the exponent vector negated (and reversed)
-    assert [-sum(packing.key(lead)) for lead, _ in basis] == [2, 2, 3]
+    # the degrees of the leading monomials
+    assert [sum(packing.exponents(lead)) for lead, _ in basis] == [2, 2, 3]
 
     def certify(given, max_degree):
         monkeypatch.setattr(groebner, "groebner_basis", lambda polys, top: (given, packing))
@@ -456,7 +455,7 @@ def test_s_pairs_arrive_after_every_input_past_a_skipped_one():
     entries = [parse_poly(t, RING_XYZ) for t in texts]
     basis, packing = groebner_basis(entries, 5)
     assert basis == groebner_basis(entries[1:], 5)[0]
-    assert [-sum(packing.key(lead)) for lead, _ in basis] == [2, 2, 3, 3, 4, 4]
+    assert [sum(packing.exponents(lead)) for lead, _ in basis] == [2, 2, 3, 3, 4, 4]
     p = pres(RING_XYZ, [(t, d) for t, d in zip(texts, (10, 2, 2, 3))])
     assert koszul_table(p, 5) == _oracle(p, 5)
 
@@ -468,8 +467,8 @@ def test_certificate_reads_a_basis_built_at_a_higher_cutoff():
     # at 3 it still finds the S-pair it came from
     entries = [parse_poly(t, RING_XYZ) for t in ("x^2 - y*z", "x*y - z^2", "y^8")]
     basis, packing = groebner_basis(entries, 10)
-    assert [-sum(packing.key(lead)) for lead, _ in basis] == [2, 2, 3, 8, 9, 9, 10]
-    y8 = packing.pack((0, -8, 0))
+    assert [sum(packing.exponents(lead)) for lead, _ in basis] == [2, 2, 3, 8, 9, 9, 10]
+    y8 = packing.pack((0, 8, 0))
     assert basis[3] == (y8, {y8: 1})
     assert groebner_failure(basis, packing, entries, 3) is None
     assert (groebner_failure(basis[:2] + basis[3:], packing, entries, 3)
@@ -478,6 +477,13 @@ def test_certificate_reads_a_basis_built_at_a_higher_cutoff():
     assert groebner_failure(basis, packing, entries, 15) is None
     with pytest.raises(ValueError, match="passes the fields"):
         groebner_failure(basis, packing, entries, 16)
+
+
+def _grevlex_key(exps: tuple[int, ...]) -> tuple[int, ...]:
+    """Sort key of weighted grevlex among monomials of one weighted degree,
+    stated apart from the packing: the larger monomial has the smaller
+    exponent in the last variable where they differ."""
+    return tuple(-e for e in reversed(exps))
 
 
 def _monomial(pieces, data, degrees) -> tuple[int, ...]:
@@ -493,7 +499,7 @@ def _monomial(pieces, data, degrees) -> tuple[int, ...]:
 def test_packed_monomials_follow_the_exponent_rules(weights, top, data):
     ring = GradedRing(tuple(f"x{i}" for i in range(len(weights))), weights)
     packing = groebner._Packing(ring, top)
-    pack = lambda exps: packing.pack(_grevlex_key(exps))
+    pack = packing.pack
     pieces = {d: graded_piece_basis(ring, d) for d in range(top + 1)}
     a = _monomial(pieces, data, range(top + 1))
     d = ring.weighted_degree(a)
@@ -501,7 +507,7 @@ def test_packed_monomials_follow_the_exponent_rules(weights, top, data):
     b = _monomial(pieces, data, range(top - d + 1))
     lead = _monomial(pieces, data, range(top + 1))
     # unpack o pack = id, and the order of one degree is grevlex, reversed
-    assert packing.key(pack(a)) == _grevlex_key(a)
+    assert packing.exponents(pack(a)) == a
     assert (pack(a) < pack(same)) == (_grevlex_key(a) > _grevlex_key(same))
     # a product is a sum, with every exponent up to top
     product = tuple(x + y for x, y in zip(a, b))

@@ -110,6 +110,25 @@ def test_unpickled_ring_hashes_as_in_its_new_process():
     assert done.stdout.split() == [b"True"]
 
 
+def test_unpickled_polynomial_hashes_as_in_its_new_process():
+    # a polynomial keeps its hash, which reads str hashes through its ring:
+    # hashed before pickling, it must be hashed again where it is unpickled
+    ring = GradedRing(("s", "t"), (1, 3))
+    p = parse_poly("s^3 - 2/3*t", ring)
+    hash(p)
+    assert copy.copy(p) == p and hash(copy.deepcopy(p)) == hash(p)
+    script = ("import pickle, sys\n"
+              "from zeroloci.polyalg import GradedRing, parse_poly\n"
+              "p = pickle.loads(sys.stdin.buffer.read())\n"
+              "print(hash(p) == hash(parse_poly('s^3 - 2/3*t', GradedRing(('s', 't'), (1, 3)))))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(polyalg.__file__).parents[1]),
+           "PYTHONHASHSEED": "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"}
+    done = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(p), env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [b"True"]
+
+
 # -- parsing -------------------------------------------------------------------
 
 
