@@ -43,7 +43,7 @@ __all__ = [
     "graded_piece_basis", "matrix_rank_in_degree",
     "Complex", "ChainMap", "shift", "cone", "tensor", "dual", "direct_sum",
     "exterior_algebra", "sym_two_term", "unit_complex",
-    "ZeroLocusPresentation", "JacobianData", "koszul_complex", "sym_cofib_invariants",
+    "ZeroLocusPresentation", "koszul_complex", "sym_cofib_invariants",
     "critical_locus", "cotangent_complex", "restrict",
     "HilbertTable", "homology_dimensions", "koszul_table", "same_homology_dims",
     "is_regular_up_to",

@@ -35,8 +35,7 @@ from math import comb, gcd
 from operator import add
 
 from .complexes import Complex, ComplexInvariantError, check_generators, koszul_contractions
-from .polyalg import (GradedFreeModule, GradedRing, HomogeneityError, Polynomial, Record,
-                      RingMismatch)
+from .polyalg import GradedFreeModule, GradedRing, HomogeneityError, Polynomial, RingMismatch
 from .zerolocus import PresentationError, ZeroLocusPresentation
 
 __all__ = [
@@ -45,7 +44,7 @@ __all__ = [
     "ChainMap", "unit_complex", "module_complex", "zero_complex", "shift", "cone", "tensor",
     "dual", "direct_sum", "contraction_complex", "sym_two_term", "twist_complex",
     "identity_chain_map", "module_map_chain",
-    "JacobianData", "SymInvariantsResult", "koszul_complex", "sym_cofib_invariants",
+    "koszul_complex", "sym_cofib_invariants",
     "cotangent_complex", "jacobian_data", "restrict",
 ]
 
@@ -603,24 +602,6 @@ def sym_two_term(a: Complex, n: int) -> Complex:
 # ---------------------------------------------------------------------------
 
 
-class JacobianData(Record):
-    """Partial derivatives of the section entries, rows indexed by ring variables."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: PolyMatrix):
-        self._init(matrix)
-
-
-class SymInvariantsResult(Record):
-    """Weight-zero symmetric-power complex; `truncated` when n_max < bundle rank."""
-
-    __slots__ = ("complex", "truncated")
-
-    def __init__(self, complex: Complex, truncated: bool):
-        self._init(complex, truncated)
-
-
 def _koszul_layout(p: ZeroLocusPresentation, n_max: int) -> Complex:
     """The subcomplex of the Koszul complex of p spanned by the subsets of all
     entries with at most n_max section entries (all of it for n_max >= rank),
@@ -648,7 +629,7 @@ def koszul_complex(p: ZeroLocusPresentation) -> Complex:
     return _koszul_layout(p, p.rank)
 
 
-def sym_cofib_invariants(p: ZeroLocusPresentation, n_max: int) -> SymInvariantsResult:
+def sym_cofib_invariants(p: ZeroLocusPresentation, n_max: int) -> Complex:
     """Weight-zero part of the symmetric algebra on the cofibre of the cosection.
 
     The direct sum of the symmetric powers up to n_max is regraded by the
@@ -660,20 +641,20 @@ def sym_cofib_invariants(p: ZeroLocusPresentation, n_max: int) -> SymInvariantsR
     subsets with at most top section entries (e_A (x) e_B -> e_(A u B)
     needs no sign), built directly in the Koszul layout, without the rest
     of the Koszul complex; untruncated (n_max >= rank) it is the Koszul
-    complex itself.
+    complex itself, and truncated (n_max < rank) a proper subcomplex of it.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return SymInvariantsResult(_koszul_layout(p, n_max), truncated=n_max < p.rank)
+    return _koszul_layout(p, n_max)
 
 
-def jacobian_data(p: ZeroLocusPresentation) -> JacobianData:
+def jacobian_data(p: ZeroLocusPresentation) -> PolyMatrix:
     """All partials of the section entries; rows = ring variables, columns = entries."""
     ring = p.ring
     source = p.bundle_dual()
     target = GradedFreeModule(ring, ring.degrees)
     rows = [[poly.partial(i) for poly, _ in p.section] for i in range(ring.nvars)]
-    return JacobianData(PolyMatrix(source, target, rows))
+    return PolyMatrix(source, target, rows)
 
 
 def cotangent_complex(p: ZeroLocusPresentation) -> Complex:
@@ -686,7 +667,7 @@ def cotangent_complex(p: ZeroLocusPresentation) -> Complex:
     if p.ambient:
         raise PresentationError("cotangent_complex requires an empty ambient list")
     ring = p.ring
-    jac = jacobian_data(p).matrix
+    jac = jacobian_data(p)
     terms = {}
     if jac.source.rank:
         terms[-1] = jac.source

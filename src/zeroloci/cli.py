@@ -44,10 +44,11 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .complexes import Complex, ComplexInvariantError
+from .complexes import ComplexInvariantError
 from .gtheory import (
     CrossCheckError,
     KClass,
+    _kclass_of_terms,
     koszul_class,
     verify_excess,
     verify_quantum_lefschetz,
@@ -56,7 +57,6 @@ from .gtheory import (
     virtual_class,
     vpull,
     vpull_via_homology,
-    complex_from_kclass,
 )
 from .homology import HilbertTable, default_cutoff, koszul_table
 from .polyalg import GradedRing, ParseError, Record, parse_poly
@@ -332,10 +332,10 @@ def parse_problem_file(text: str) -> ProblemFile:
 # ---------------------------------------------------------------------------
 
 
-def _operand_complex(problem: ProblemFile, p: ZeroLocusPresentation) -> Complex:
-    """The operand's Koszul terms without a differential: its class reads only the terms."""
+def _operand_class(problem: ProblemFile, p: ZeroLocusPresentation) -> KClass:
+    """The class of the operand's Koszul complex, read off its terms."""
     entries = check_entries(p.ring, problem.module_entries or (), "[task] module")
-    return Complex(p.ring, exterior_terms(p.ring, tuple(d for _, d in entries)), {})
+    return _kclass_of_terms(exterior_terms(p.ring, tuple(d for _, d in entries)))
 
 
 def _presentation_echo(p: ZeroLocusPresentation) -> dict:
@@ -365,12 +365,11 @@ def _execute(kind: str, problem: ProblemFile, p: ZeroLocusPresentation, report: 
         report.kclass = str(virtual_class(p))
         report.notes.append("direct and homology routes agree")
     elif kind == "verify-excess":
-        result = verify_excess(p, cutoff)
+        table = verify_excess(p, cutoff)
         report.status = "PASS"
-        report.tables["restricted_pushforward"] = result.table_restricted
-        report.tables["euler_twisted"] = result.table_euler
+        report.tables["restricted_pushforward"] = report.tables["euler_twisted"] = table
     elif kind == "verify-lefschetz":
-        verdict = verify_quantum_lefschetz(p, _operand_complex(problem, p))
+        verdict = verify_quantum_lefschetz(p, _operand_class(problem, p))
         report.status = "PASS" if verdict.passed else "FAIL"
         report.kclass = str(verdict.lhs)
         report.notes.append("free bundle: class identity holds for any section")
@@ -393,7 +392,7 @@ def _execute(kind: str, problem: ProblemFile, p: ZeroLocusPresentation, report: 
     elif kind == "vpull":
         kappa = problem.kappa if problem.kappa is not None else KClass.one()
         direct = vpull(p, kappa)
-        via_homology = vpull_via_homology(p, complex_from_kclass(p.ring, kappa))
+        via_homology = vpull_via_homology(p, kappa)
         if direct != via_homology:
             raise CrossCheckError(
                 f"vpull mismatch: direct {direct} vs homology {via_homology}")

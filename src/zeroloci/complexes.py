@@ -3,10 +3,11 @@
 Cohomological (upper) indexing throughout.  A `Complex` holds its terms and
 its nonzero differentials, and checks d o d = 0 exactly on construction;
 an inconsistent complex raises ComplexInvariantError.  Koszul tables and
-classes (`homology`, `gtheory`) read only terms: `exterior_algebra` builds the
+classes (`homology`, `gtheory`) read only terms: `_exterior_powers` builds the
 exterior powers of a module (subsets of generators in ascending
-lexicographic order, no differential), and `koszul_contractions` gives the
-contraction rule that joins them into a Koszul complex.
+lexicographic order), `exterior_algebra` the complex of them with no
+differential, and `koszul_contractions` gives the contraction rule that
+joins them into a Koszul complex.
 
 Chain maps and the operations on complexes (shift, cone, tensor, dual,
 direct sum, twist, symmetric powers of two-term complexes, and
@@ -142,9 +143,13 @@ class Complex:
 
 def exterior_algebra(f_dual: GradedFreeModule, max_power: int) -> Complex:
     """(+)_n Lambda^n placed in degree -n with zero differential; twists are subset sums."""
+    return Complex(f_dual.ring, _exterior_powers(f_dual, max_power), {})
+
+
+def _exterior_powers(f_dual: GradedFreeModule, max_power: int) -> dict[int, GradedFreeModule]:
+    """The terms of exterior_algebra(f_dual, max_power), without building a complex."""
     if max_power < 0:
         raise ValueError("max_power must be >= 0")
-    ring = f_dual.ring
     top = min(max_power, f_dual.rank)
     check_generators(sum(comb(f_dual.rank, n) for n in range(top + 1)))
     terms = {}
@@ -152,8 +157,8 @@ def exterior_algebra(f_dual: GradedFreeModule, max_power: int) -> Complex:
         twists = tuple(sum(f_dual.twists[j] for j in sub)
                        for sub in itertools.combinations(range(f_dual.rank), n))
         if twists:
-            terms[-n] = GradedFreeModule(ring, twists)
-    return Complex(ring, terms, {})
+            terms[-n] = GradedFreeModule(f_dual.ring, twists)
+    return terms
 
 
 def koszul_contractions(sub: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:

@@ -4,9 +4,14 @@ For complexes of twisted free modules the complete invariant is the
 K-polynomial numerator: a Laurent polynomial in one variable t collecting
 the twists with alternating sign.  Every class-level identity checked
 here is therefore a decidable equality of Laurent polynomials, and each
-main operation also carries an independent homology route (alternating
-sums of truncated Hilbert series of the homology) that must reproduce
-the direct answer.
+main operation also carries a homology route (alternating sums of
+truncated Hilbert series of the homology) that must reproduce the direct
+answer.  That route is not independent of the terms: a table sets
+dim H^i_d = dim C^i_d - rank(d^i)_d - rank(d^(i-1))_d (`homology._assemble`),
+so in the alternating sum every rank cancels, and what it reproduces is the
+Euler characteristic of the terms.  It checks the term dimensions, the
+truncation and the series arithmetic, not the ranks: a wrong rank that
+leaves every dimension nonnegative changes a table but not a class.
 
 A class depends only on the terms of a complex, and classes multiply under
 tensor.  So a class is read off the terms (the Koszul class off the
@@ -34,22 +39,15 @@ from __future__ import annotations
 from functools import lru_cache
 from collections.abc import Mapping, Sequence
 
-from .complexes import (
-    Complex,
-    ComplexInvariantError,
-    check_generators,
-    koszul_contractions,
-)
+from .complexes import Complex, ComplexInvariantError, check_generators, koszul_contractions
 from .homology import (DimComparison, HilbertTable, compare_tables, homology_dimensions,
                        koszul_table)
-from .polyalg import (GradedFreeModule, GradedRing, ParseError, Record, RingMismatch, as_integers,
-                      signed_sum)
+from .polyalg import GradedFreeModule, GradedRing, ParseError, Record, as_integers, signed_sum
 from .zerolocus import PresentationError, ZeroLocusPresentation, koszul_terms
 
 __all__ = [
     "KClass",
     "KVerdict",
-    "ExcessResult",
     "CrossCheckError",
     "kclass_of_complex",
     "kclass_via_homology",
@@ -63,7 +61,6 @@ __all__ = [
     "vpull",
     "vpull_via_homology",
     "verify_strong_factorization",
-    "complex_from_kclass",
 ]
 
 
@@ -174,19 +171,6 @@ class KVerdict(Record):
         self._init(passed, lhs, rhs)
 
 
-class ExcessResult(Record):
-    """Tables of kos(f, f) and of kos(f, 0), equal by a chain isomorphism.
-
-    There is no failing verdict: a certificate that fails to commute or to
-    invert raises ComplexInvariantError instead.
-    """
-
-    __slots__ = ("table_restricted", "table_euler")
-
-    def __init__(self, table_restricted: HilbertTable, table_euler: HilbertTable):
-        self._init(table_restricted, table_euler)
-
-
 def kclass_of_complex(c: Complex) -> KClass:
     """Alternating sum over the twists of each term."""
     return _kclass_of_terms(c.terms)
@@ -206,12 +190,12 @@ def koszul_class(p: ZeroLocusPresentation) -> KClass:
     return _kclass_of_terms(koszul_terms(p))
 
 
-def kclass_via_homology(c: Complex, cutoff: int | None = None) -> KClass:
+def kclass_via_homology(c: Complex) -> KClass:
     """Class reconstructed from homology: sum of (-1)^i times the truncated
     Hilbert series of H^i, multiplied by the ring's denominator product.
 
-    Exact for complexes with nonnegative twists once the cutoff reaches the
-    largest twist; this is the truncation route and must agree with
+    Exact for complexes with nonnegative twists, with the series truncated at
+    the largest twist; this is the truncation route and must agree with
     kclass_of_complex.  A Koszul complex takes `_koszul_kclass_via_homology`.
     """
     twists = [a for i in c.support for a in c.term(i).twists]
@@ -219,10 +203,7 @@ def kclass_via_homology(c: Complex, cutoff: int | None = None) -> KClass:
         return KClass.zero()
     if min(twists) < 0:
         raise ValueError("homology route requires nonnegative twists")
-    if cutoff is None:
-        cutoff = max(twists)
-    cutoff = max(cutoff, max(twists))
-    return _kclass_of_table(homology_dimensions(c, cutoff), c.ring)
+    return _kclass_of_table(homology_dimensions(c, max(twists)), c.ring)
 
 
 def _koszul_kclass_via_homology(p: ZeroLocusPresentation) -> KClass:
@@ -261,17 +242,16 @@ def virtual_class(p: ZeroLocusPresentation) -> KClass:
     return direct
 
 
-def verify_quantum_lefschetz(p: ZeroLocusPresentation, m: Complex) -> KVerdict:
-    """Pushforward-pullback against twisting by the Euler class, at class level.
+def verify_quantum_lefschetz(p: ZeroLocusPresentation, m: KClass) -> KVerdict:
+    """Pushforward-pullback against twisting by the Euler class, at class level,
+    for an operand of class m.
 
-    Classes multiply under tensor, so the left side is [m] times [kos], and
+    Classes multiply under tensor, so the left side is m times [kos], and
     [kos] is read off the Koszul terms; no differential is built.  The bundle
     is free, so the identity is independent of any regularity of the section.
     """
-    if m.ring != p.ring:
-        raise RingMismatch("operand complex over a different ring")
-    lhs = kclass_of_complex(m) * koszul_class(p)
-    rhs = kclass_of_complex(m) * lambda_minus_one(p.all_degrees)
+    lhs = m * koszul_class(p)
+    rhs = m * lambda_minus_one(p.all_degrees)
     return KVerdict(lhs == rhs, lhs, rhs)
 
 
@@ -365,15 +345,17 @@ def excess_certificate(r: int) -> tuple[_WordMap, _WordMap]:
     return forward, inverse
 
 
-def verify_excess(p: ZeroLocusPresentation, cutoff: int) -> ExcessResult:
-    """Self-intersection kos(f, f) against kos(f, 0), by one Koszul table.
+def verify_excess(p: ZeroLocusPresentation, cutoff: int) -> HilbertTable:
+    """The one table of the self-intersection kos(f, f) and of kos(f, 0).
 
     The two complexes are isomorphic through `excess_certificate`, checked
-    once per number of entries, so they share one table.  kos(f, 0) is
-    kos (x) Lambda(E), and Lambda(E) has the terms of kos and zero
-    differential, so that table is the kos table shifted by the degree and
-    twist of each of those generators.  The certificate runs first: from
-    six entries on it raises WorkLimitError before any table is computed.
+    once per number of entries, so they share one table; there is no failing
+    verdict, as a certificate that fails to commute or to invert raises
+    ComplexInvariantError.  kos(f, 0) is kos (x) Lambda(E), and Lambda(E)
+    has the terms of kos and zero differential, so that table is the kos
+    table shifted by the degree and twist of each of those generators.  The
+    certificate runs first: from six entries on it raises WorkLimitError
+    before any table is computed.
     """
     excess_certificate(len(p.all_entries))
     table = koszul_table(p, cutoff)
@@ -383,8 +365,7 @@ def verify_excess(p: ZeroLocusPresentation, cutoff: int) -> ExcessResult:
             for (i, d), h in table.entries.items():
                 if d + twist <= cutoff:
                     shifted[i + n, d + twist] = shifted.get((i + n, d + twist), 0) + h
-    both = HilbertTable(cutoff, shifted)
-    return ExcessResult(both, both)
+    return HilbertTable(cutoff, shifted)
 
 
 def verify_sym_ga(p: ZeroLocusPresentation, cutoff: int,
@@ -404,7 +385,7 @@ def verify_sym_ga(p: ZeroLocusPresentation, cutoff: int,
         return DimComparison(True, None, table, table)
     from .chains import sym_cofib_invariants
 
-    table_a = homology_dimensions(sym_cofib_invariants(p, n_max).complex, cutoff)
+    table_a = homology_dimensions(sym_cofib_invariants(p, n_max), cutoff)
     table_b = koszul_table(p, cutoff)
     witness = compare_tables(table_a, table_b)
     return DimComparison(witness is None, witness, table_a, table_b)
@@ -415,17 +396,15 @@ def vpull(p: ZeroLocusPresentation, kappa: KClass) -> KClass:
     return kappa * lambda_minus_one(p.section_degrees)
 
 
-def vpull_via_homology(p: ZeroLocusPresentation, representative: Complex) -> KClass:
-    """Homology route for the class pullback, from a representative complex.
+def vpull_via_homology(p: ZeroLocusPresentation, kappa: KClass) -> KClass:
+    """Homology route for the class pullback of kappa.
 
-    The class of representative (x) kos is [representative] times [kos], and
-    both factors are exact, so the homology route runs on the Koszul complex
-    of the section alone; the tensor complex is not built.
+    The class of a representative of kappa tensored with kos is kappa times
+    [kos], so the homology route runs on the Koszul complex of the section
+    alone; neither a representative nor the tensor complex is built.
     """
-    if representative.ring != p.ring:
-        raise RingMismatch("representative over a different ring")
     section = ZeroLocusPresentation(p.ring, (), p.section)
-    return kclass_of_complex(representative) * _koszul_kclass_via_homology(section)
+    return kappa * _koszul_kclass_via_homology(section)
 
 
 def verify_strong_factorization(p: ZeroLocusPresentation) -> KVerdict:
@@ -439,21 +418,3 @@ def verify_strong_factorization(p: ZeroLocusPresentation) -> KVerdict:
     rhs = virtual_class(ambient_only) * lambda_minus_one(p.section_degrees)
     return KVerdict(lhs == rhs, lhs, rhs)
 
-
-def complex_from_kclass(ring: GradedRing, kappa: KClass) -> Complex:
-    """A zero-differential representative: positive parts in degree 0, negative in degree 1.
-
-    One generator per unit of coefficient; raises WorkLimitError above
-    MAX_GENERATORS before allocating them.
-    """
-    check_generators(sum(abs(v) for v in kappa.coeffs.values()))
-    pos = tuple(sorted(k for k, v in kappa.coeffs.items() for _ in range(max(v, 0))))
-    neg = tuple(sorted(k for k, v in kappa.coeffs.items() for _ in range(max(-v, 0))))
-    if any(k < 0 for k in pos + neg):
-        raise ValueError("representatives need nonnegative powers")
-    terms = {}
-    if pos:
-        terms[0] = GradedFreeModule(ring, pos)
-    if neg:
-        terms[1] = GradedFreeModule(ring, neg)
-    return Complex(ring, terms, {})

@@ -604,11 +604,6 @@ class GradedFreeModule(Record):
     def graded_dim(self, d: int) -> int:
         return sum(graded_piece_dim(self.ring, d - a) for a in self.twists)
 
-    def basis_in_degree(self, d: int) -> list[tuple[int, tuple[int, ...]]]:
-        """Pairs (generator index, monomial exponent) spanning the degree-d piece."""
-        from .chains import basis_in_degree
-        return basis_in_degree(self, d)
-
     def dual(self) -> "GradedFreeModule":
         return GradedFreeModule(self.ring, tuple(-a for a in self.twists))
 

@@ -7,10 +7,9 @@ of a section of a twisted free bundle over that ambient.  The associated
 Koszul complex computes the derived quotient; its terms are
 `koszul_terms`, built once per process for each ring and list of entry
 degrees (`exterior_terms`).  The complex itself, the symmetric-power
-invariants (a subcomplex of it when deliberately shortened, marked by an
-explicit truncation flag rather than an error), the Jacobian and the
-cotangent complex are built in the chain-level layer, `chains`, which
-loads on first use; the names of this module's `__all__` it does not
+invariants (a subcomplex of it when deliberately shortened below the
+rank), the Jacobian and the cotangent complex are built in the
+chain-level layer, `chains`, which loads on first use; the names of this module's `__all__` it does not
 define resolve there.
 """
 
@@ -21,15 +20,13 @@ from functools import lru_cache
 from operator import index
 from types import MappingProxyType
 
-from .complexes import exterior_algebra
+from .complexes import _exterior_powers
 from .polyalg import GradedFreeModule, GradedRing, Polynomial, Record, forward_to_chains
 
 __all__ = [
     "PresentationError",
     "SectionEntry",
     "ZeroLocusPresentation",
-    "JacobianData",
-    "SymInvariantsResult",
     "koszul_complex",
     "koszul_terms",
     "exterior_terms",
@@ -134,7 +131,7 @@ def exterior_terms(ring: GradedRing, degrees: tuple[int, ...]) -> Mapping[int, G
     long as it is among the last TERMS_MEMO_SIZE made.  A raised error
     (WorkLimitError past MAX_GENERATORS) is not kept.
     """
-    return MappingProxyType(exterior_algebra(GradedFreeModule(ring, degrees), len(degrees)).terms)
+    return MappingProxyType(_exterior_powers(GradedFreeModule(ring, degrees), len(degrees)))
 
 
 def critical_locus(w: Polynomial) -> ZeroLocusPresentation:

@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 import zeroloci
-from zeroloci import cli, groebner, gtheory
+from zeroloci import cli, complexes, groebner, gtheory
 from zeroloci.cli import ProblemFileError, main, parse_problem_file, run
 from zeroloci.complexes import MAX_GENERATORS, ComplexInvariantError
 from zeroloci.gtheory import CrossCheckError, KClass, excess_certificate
 from zeroloci.homology import MAX_CELL_ENTRIES, MAX_RANK_CELLS, MAX_TABLE_CELLS
 from zeroloci.polyalg import _MAX_COEFFICIENT_BITS, _MAX_TERM_PRODUCTS, PolyMatrix
+from zeroloci.zerolocus import PresentationError
 
 DIVISOR = """\
 [ring]
@@ -187,6 +188,56 @@ def test_all_section_tasks_run(tmp_path, kind):
     code, report = run(write(tmp_path, NON_REGULAR.format(kind=kind)))
     assert code == 0
     assert report.status in ("PASS", "INFO")
+
+
+@pytest.mark.parametrize("kappa, kclass", [
+    ("100000000", "100000000 - 200000000*t^2 + 100000000*t^4"),
+    ("2000 - 3*t", "2000 - 3*t - 4000*t^2 + 6*t^3 + 2000*t^4 - 3*t^5"),
+])
+def test_main_vpull_answers_a_class_of_any_size(tmp_path, capsys, kappa, kclass):
+    # both routes multiply kappa by a class of the section: no work grows with kappa
+    started = time.perf_counter()
+    assert main([write(tmp_path, NON_REGULAR.format(kind="vpull") + f"kappa = {kappa}\n"),
+                 "--json"]) == 0
+    assert time.perf_counter() - started < 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["status"], doc["kclass"]) == ("PASS", kclass)
+
+
+def _problem_text(p, kind):
+    """A problem file of presentation p and task kind, with an operand and a kappa."""
+    def entries(pairs):
+        return "entries = " + ", ".join(f"{f} : {d}" for f, d in pairs) + "\n"
+
+    ring = p.ring
+    return (f"[ring]\nvariables = {', '.join(ring.variables)}\n"
+            f"degrees = {', '.join(map(str, ring.degrees))}\n"
+            + ("[ambient]\n" + entries(p.ambient) if p.ambient else "")
+            + "[section]\n" + entries(p.section)
+            + f"[task]\nkind = {kind}\nmodule = {ring.variables[0]} : {ring.degrees[0]}\n"
+            + "kappa = 2 - t^2\n")
+
+
+def test_untruncated_tasks_build_no_complex(tmp_path, monkeypatch, corpus):
+    # classes are read off terms and Koszul tables off a Groebner basis, and no
+    # presentation here leaves a rank cell: only a truncated sym-GA check or a
+    # rank cell has a differential to build a complex for
+    def refuse(self, *args):
+        raise AssertionError("a Complex was built")
+
+    monkeypatch.setattr(complexes.Complex, "__init__", refuse)
+    kinds = [kind for kind in cli.TASKS if kind != "crit"]
+    runs = [(_problem_text(p, kind), None) for p in corpus for kind in kinds
+            if kind != "verify-strong" or p.ambient]
+    runs += [(CRIT.replace("x^2*y", potential), then)
+             for potential in ("x^2*y", "x^3 + y^3") for then in kinds]
+    for text, then in runs:
+        try:
+            code, report = run(write(tmp_path, text), then=then)
+        except PresentationError:  # a critical locus has no ambient to factor through
+            assert then == "verify-strong"
+            continue
+        assert (code, report.status) in ((0, "PASS"), (0, "INFO")), (text, then)
 
 
 # -- main() and exit codes -------------------------------------------------------
@@ -424,9 +475,6 @@ HOSTILE_SIZES = {
     "generators": ("[ring]\nvariables = x\ndegrees = 1\n[section]\nentries = "
                    + ", ".join(["x : 1"] * 12) + "\n[task]\nkind = homology\n",
                    f"4096 generators, more than the limit of {MAX_GENERATORS}"),
-    # one generator per unit of the input class
-    "kappa": (NON_REGULAR.format(kind="vpull") + "kappa = 100000000\n",
-              f"100000000 generators, more than the limit of {MAX_GENERATORS}"),
     # ten variables at cutoff 10, an ideal of grade 1 in three entries: the d^-2 cell
     # in degree 10 maps 3 pieces of 5005 monomials to 3 pieces of 24310
     "cell": (TEN_VARIABLES + "[section]\nentries = a*b : 2, a*c : 2, a*d : 2\n"

@@ -559,14 +559,15 @@ HUGE = 10**20
 ])
 def test_truncated_sym_ga_table_limits_raise_before_any_matrix(monkeypatch, section, cutoff,
                                                                 cell_limit, message):
-    result = chains.sym_cofib_invariants(pres(RING_XY, section), 1)
-    assert result.truncated
+    p = pres(RING_XY, section)
+    truncated = chains.sym_cofib_invariants(p, 1)
+    assert 1 < p.rank
     if cell_limit is not None:
         monkeypatch.setattr(homology, "MAX_CELL_ENTRIES", cell_limit)
     assembled = []
     monkeypatch.setattr(PolyMatrix, "degree_rows", lambda m, d: assembled.append(d))
     with pytest.raises(WorkLimitError) as caught:
-        homology_dimensions(result.complex, cutoff)
+        homology_dimensions(truncated, cutoff)
     assert str(caught.value) == message + "; lower the cutoff"
     assert assembled == []
 
