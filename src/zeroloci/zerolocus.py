@@ -9,8 +9,8 @@ Koszul complex computes the derived quotient; its terms are
 degrees (`exterior_terms`).  The complex itself, the symmetric-power
 invariants (a subcomplex of it when deliberately shortened below the
 rank), the Jacobian and the cotangent complex are built in the
-chain-level layer, `chains`, which loads on first use; the names of this module's `__all__` it does not
-define resolve there.
+chain-level layer, `chains`, which loads on first use; the names of this
+module's `__all__` it does not define resolve there.
 """
 
 from __future__ import annotations

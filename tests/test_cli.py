@@ -230,7 +230,7 @@ def test_untruncated_tasks_build_no_complex(tmp_path, monkeypatch, corpus):
     runs = [(_problem_text(p, kind), None) for p in corpus for kind in kinds
             if kind != "verify-strong" or p.ambient]
     runs += [(CRIT.replace("x^2*y", potential), then)
-             for potential in ("x^2*y", "x^3 + y^3") for then in kinds]
+             for potential in ("x^2*y", "x^3 + y^3") for then in [None, *kinds]]
     for text, then in runs:
         try:
             code, report = run(write(tmp_path, text), then=then)
@@ -461,7 +461,7 @@ def test_main_uncertified_groebner_basis_exit_three(tmp_path, capsys, monkeypatc
 
 def test_main_vpull_route_mismatch_exit_three(tmp_path, capsys, monkeypatch):
     # the two vpull routes agree on any correct engine; a mismatch is a fault, not a FAIL
-    monkeypatch.setattr(cli, "vpull_via_homology", lambda p, rep: KClass.parse("1 + t"))
+    monkeypatch.setattr(cli, "vpull_via_homology", lambda p, kappa: KClass.parse("1 + t"))
     assert main([write(tmp_path, NON_REGULAR.format(kind="vpull"))]) == 3
     captured = capsys.readouterr()
     assert "engine fault: vpull mismatch" in captured.err
